@@ -44,6 +44,7 @@ from .problems import BudgetExhausted, Oracle, oracle_query
 
 __all__ = [
     "ModelViolation",
+    "PolicyFailure",
     "PointHandle",
     "OperatorCall",
     "EngineState",
@@ -73,6 +74,10 @@ ALGORITHMS = (
 
 class ModelViolation(RuntimeError):
     """An operator's arity exceeded the configured maximum for the run."""
+
+
+class PolicyFailure(RuntimeError):
+    """A policy ended without querying the optimum, which its invariant rules out."""
 
 
 class PointHandle(int):
@@ -340,7 +345,7 @@ def policy_kary_onemax(view: PolicyView, rng, k: int):
             return hm
         hx, fx = hm, fm
         hy, fy = hw, fw
-    raise AssertionError("block decomposition ended without querying the optimum")
+    raise PolicyFailure("block decomposition ended without querying the optimum")
 
 
 def policy_binary_leadingones(view: PolicyView, rng):
@@ -367,7 +372,8 @@ def policy_binary_leadingones(view: PolicyView, rng):
             hy, fy = view.apply(SWITCH_IF_DISTANCE_ONE, (hy, hp), rng)
         if fy > fx:
             (hx, fx), (hy, fy) = (hy, fy), (hx, fx)
-    assert fx == n, "critical pair closed below the optimum"
+    if fx != n:
+        raise PolicyFailure("critical pair closed below the optimum")
     return hx
 
 

@@ -3,8 +3,10 @@
 A :class:`BitString` of length ``n`` is stored as a Python integer whose bit
 ``i`` (0-based, ``1 << i``) holds the value at position ``i``.  Positions are
 0-based internally and in all serialized formats; the ASCII form puts position
-0 leftmost.  Integers keep xor and popcount at O(n / wordsize), which is what
-makes runs at n up to 2**20 affordable.
+0 leftmost.  Integers keep xor and popcount at O(n / wordsize) per operation.
+A run's cost in memory is another matter: the oracle keeps every queried word
+for the life of the run, about n**2 / 4 bytes per ``binary_onemax`` run, which
+is about 1 GB at n = 65,536.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "word_unpack",
     "word_pack",
     "differing_positions",
+    "nth_set_bit",
 ]
 
 
@@ -185,7 +188,7 @@ def word_unpack(word: int, n: int) -> np.ndarray:
     raw = word.to_bytes((n + 7) // 8, "little")
     return np.unpackbits(
         np.frombuffer(raw, dtype=np.uint8), bitorder="little", count=n
-    ).astype(bool)
+    ).view(bool)
 
 
 def word_pack(bits: np.ndarray) -> int:
@@ -197,3 +200,36 @@ def word_pack(bits: np.ndarray) -> int:
 def differing_positions(wx: int, wy: int, n: int) -> np.ndarray:
     """Sorted positions where the two words disagree."""
     return np.flatnonzero(word_unpack(wx ^ wy, n))
+
+
+# _BYTE_SELECT[b][r]: position of the r-th set bit of the byte b.
+_BYTE_SELECT = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def nth_set_bit(word: int, r: int) -> int:
+    """Position of the r-th set bit of ``word``, counting from 0 at position 0.
+
+    Equals ``differing_positions(word, 0, n)[r]`` without leaving integers:
+    the word is halved over power-of-two widths by popcount down to one byte,
+    which a table finishes.  Each mask is no wider than the word it splits.
+    """
+    if word < 0 or r < 0:
+        raise ValueError(f"need a non-negative word and rank, got {word:#x}, {r}")
+    pos = 0
+    half = 1 << max(2, (word.bit_length() - 1).bit_length() - 1)
+    mask = (1 << half) - 1
+    while half >= 8:
+        low = word & mask
+        c = low.bit_count()
+        if r < c:
+            word = low
+        else:
+            r -= c
+            word >>= half
+            pos += half
+        half >>= 1
+        mask >>= half
+    try:
+        return pos + _BYTE_SELECT[word][r]
+    except IndexError:
+        raise ValueError(f"rank {r} is not below the popcount of the word") from None

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -40,6 +41,7 @@ __all__ = [
     "ExperimentConfig",
     "SummaryRow",
     "run_experiment",
+    "pool_size",
     "summarize",
     "fit_curve",
     "emit_report",
@@ -133,6 +135,15 @@ def _trial(args) -> RunRecord:
     return run_rls_baseline(n, oracle, rng, seed=seed)
 
 
+def pool_size(workers: int, n_tasks: int) -> int:
+    """Worker processes to start: no more than asked, CPUs, or tasks.
+
+    A fork-started pool creates every worker at once, so a huge ``workers``
+    would otherwise fork that many processes.
+    """
+    return min(workers, os.cpu_count() or 1, n_tasks)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run trials x n_values seeded runs; deterministic for any worker count."""
     validate_config(cfg)
@@ -148,8 +159,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     if cfg.workers == 1:
         records = [_trial(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        workers = pool_size(cfg.workers, len(tasks))
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial, tasks, chunksize=chunk))
     return sorted(records, key=lambda r: r.n)
 

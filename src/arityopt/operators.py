@@ -18,7 +18,7 @@ from math import fsum
 
 import numpy as np
 
-from .bitcore import BitString, differing_positions
+from .bitcore import BitString, differing_positions, nth_set_bit
 from .consistency import (
     ExactEnumerationUnavailable,
     choose_consistent_sub_word,
@@ -192,8 +192,7 @@ def _k_flip_one(words, n, params, rng):
     d = x ^ y
     if d == 0:
         return x, None
-    pos = differing_positions(x, y, n)
-    p = int(pos[rng.integers(pos.size)])
+    p = nth_set_bit(d, int(rng.integers(d.bit_count())))
     return x ^ (1 << p), p
 
 

@@ -169,7 +169,7 @@ class MonotoneInstance:
     def evaluate_word(self, word: int) -> float:
         n = self._n
         agree = ~(word ^ self._zword) & ((1 << n) - 1)
-        return float(self._w[word_unpack(agree, n)].sum())
+        return float(self._w.compress(word_unpack(agree, n)).sum())
 
     def evaluate(self, x: BitString) -> float:
         if x.n != self.n:

@@ -9,8 +9,10 @@ from arityopt.algorithms import (
     EngineState,
     ModelViolation,
     PointHandle,
+    PolicyFailure,
     default_budget,
     optimize_subset,
+    policy_binary_leadingones,
     run_binary_leadingones,
     run_binary_onemax,
     run_kary_onemax,
@@ -312,11 +314,37 @@ class TestLeadingOnesProgress:
         # track the running best fitness; it must be monotone across outer swaps
         oracle = make_oracle("leadingones", 24, seed=27)
         e = EngineState(oracle, max_arity=2)
-        from arityopt.algorithms import policy_binary_leadingones
-
         policy_binary_leadingones(e.view, split_rng(27))
         best_seen = 0.0
         for f in e.fitnesses:
             best_seen = max(best_seen, f)
         assert best_seen == 24
         assert e.fitnesses[-1] == 24
+
+
+class ScriptedView:
+    """Policy view whose applications return scripted fitness values."""
+
+    def __init__(self, n, script):
+        self.n = n
+        self.max_arity = 2
+        self.fitnesses = []
+        self._script = iter(script)
+
+    def apply(self, op, parents, rng):
+        self.fitnesses.append(next(self._script))
+        return PointHandle(len(self.fitnesses) - 1), self.fitnesses[-1]
+
+
+class TestPolicyFailure:
+    def test_leadingones_pair_closed_below_optimum_raises(self):
+        # uniformSample and complement both score 2 of 4: the pair is closed
+        # before any search step, below the optimum
+        view = ScriptedView(4, [2, 2])
+        with pytest.raises(PolicyFailure, match="below the optimum"):
+            policy_binary_leadingones(view, np.random.default_rng(0))
+        assert view.fitnesses == [2, 2]
+
+    def test_is_a_runtime_error(self):
+        assert issubclass(PolicyFailure, RuntimeError)
+        assert not issubclass(PolicyFailure, AssertionError)

@@ -15,6 +15,7 @@ from arityopt.bitcore import (
     apply_permutation,
     differing_positions,
     hamming_distance,
+    nth_set_bit,
     word_pack,
     word_unpack,
     xor,
@@ -178,3 +179,18 @@ class TestWordHelpers:
         d = differing_positions(0b1100, 0b1010, 4)
         assert d.tolist() == [1, 2]
         assert differing_positions(7, 7, 3).size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(1, 300), st.sampled_from([4096, 16384])), st.data())
+    def test_nth_set_bit_matches_differing_positions(self, n, data):
+        w = data.draw(st.integers(1, (1 << n) - 1))
+        pos = differing_positions(w, 0, n)
+        r = data.draw(st.integers(0, pos.size - 1))
+        assert nth_set_bit(w, r) == int(pos[r])
+        assert nth_set_bit(w, 0) == int(pos[0])
+        assert nth_set_bit(w, pos.size - 1) == int(pos[-1])
+
+    def test_nth_set_bit_rejects_out_of_range(self):
+        for word, r in ((0, 0), (0b1011, 3), (1 << 300, 1), (0b1, -1), (-1, 0)):
+            with pytest.raises(ValueError):
+                nth_set_bit(word, r)

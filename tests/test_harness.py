@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from arityopt.harness import (
     ExperimentConfig,
     emit_report,
     fit_curve,
+    pool_size,
     read_runs_csv,
     run_experiment,
     summarize,
@@ -101,6 +103,13 @@ class TestRunExperiment:
         c1 = cfg(n_values=(12, 20), trials=4, workers=1)
         c2 = cfg(n_values=(12, 20), trials=4, workers=3)
         assert run_experiment(c1) == run_experiment(c2)
+
+    def test_pool_size_is_clamped(self):
+        # pure arithmetic: no pool is opened here
+        assert 1 <= pool_size(10**6, 3) <= 3
+        assert 1 <= pool_size(10**6, 10**6) <= (os.cpu_count() or 1)
+        assert pool_size(1, 100) == 1
+        assert pool_size(2, 1) == 1
 
     def test_deterministic_across_calls(self):
         c = cfg(algorithm="rls", class_name="leadingones", n_values=(10,), trials=5)
