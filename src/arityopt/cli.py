@@ -136,7 +136,6 @@ def _cmd_run(args) -> int:
         base_seed=args.seed,
         k=args.k,
         budget=args.budget,
-        output_path=args.out,
         workers=args.workers,
     )
     records = run_experiment(cfg)

@@ -2,11 +2,19 @@
 
 Given queried points x^1..x^t and their observed agreement counts u^1..u^t,
 the consistent set is every z with agreement(z, x^i) = u^i for all i.  The
-samplers here enumerate that set exhaustively (the enumeration is the
-correctness oracle, not an approximation) and draw from it with a single
-uniform index, which makes the draw exactly uniform rather than
-approximately so.  Enumeration is bounded at dimension 24; beyond that the
-operations fail loudly instead of degrading.
+samplers here enumerate that set exactly (the enumeration is the correctness
+oracle, not an approximation) and draw from it with a single uniform index
+into the ascending array of survivors, which makes the draw exactly uniform
+rather than approximately so.
+
+The enumeration (``consistent_words``) is a meet-in-the-middle join in the
+manner of Horowitz and Sahni: a word splits into a high and a low half, the
+Hamming distance to each point is the sum of the two halves' distances, so
+each half is tabulated once against every point (2**(dim/2) rows per half
+instead of 2**dim words) and the halves are joined on the distances the low
+half must supply.  Below dimension 12 the low half is empty and the join is
+a single filter pass over all words.  Enumeration is bounded at dimension 24;
+beyond that the operations fail loudly instead of degrading.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ __all__ = [
 ]
 
 ENUMERATION_DIM_LIMIT = 24
+# Smallest dimension at which consistent_words splits words into two halves.
+_SPLIT_MIN_DIM = 12
+# Constraints packed into consistent_words' uint64 join key, one byte each.
+_KEY_BYTES = 8
 
 
 class ExactEnumerationUnavailable(ValueError):
@@ -66,17 +78,69 @@ def _require_enumerable(dim: int) -> None:
 def consistent_words(dim: int, point_words, values) -> np.ndarray:
     """All words z with agreement(z, x_i) = u_i for every constraint, ascending.
 
-    Agreement is dim minus Hamming distance, so the filter keeps z with
-    popcount(z ^ x_i) == dim - u_i.  Constraints are applied incrementally;
-    the survivor array shrinks fast for informative constraints.
+    Agreement is dim minus Hamming distance, so z survives when
+    popcount(z ^ x_i) == dim - u_i for every i.  Split z = (hi << lo_bits) | lo;
+    the distance is dist_hi_i(hi) + dist_lo_i(lo), so a low half completes a
+    high half exactly when dist_lo_i(lo) equals the residual
+    (dim - u_i) - dist_hi_i(hi) for every i:
+
+    1. Tabulate every high half's residuals, a t x 2**(dim - lo_bits) table,
+       and keep the high halves whose residuals all lie in 0..lo_bits.
+    2. Key each kept high half by its first ``_KEY_BYTES`` residuals, and
+       each low half by its first ``_KEY_BYTES`` distances, one byte apiece
+       read as one uint64.
+    3. Sort the low halves stably by key; each high half's key then finds
+       its matching low halves as one run, ascending.
+    4. Emit (hi << lo_bits) | lo, high halves ascending and low halves
+       ascending within each, and filter these candidates on the constraints
+       the key had no room for.
+
+    The tables hold about t * 2**(dim/2) entries where a full scan reads
+    2**dim words.  Below ``_SPLIT_MIN_DIM`` the low half is empty and step 1
+    is the whole computation: one filter pass over all 2**dim words, which at
+    small dim costs less than the join's fixed overhead.  The array is the
+    same for any split.
     """
     _require_enumerable(dim)
-    z = np.arange(1 << dim, dtype=np.uint32)
-    for x, u in zip(point_words, values):
-        z = z[np.bitwise_count(z ^ np.uint32(x)) == np.uint32(dim - u)]
-        if z.size == 0:
-            break
+    if len(point_words) != len(values):
+        raise ValueError(f"{len(point_words)} points vs {len(values)} values")
+    lo_bits = dim // 2 if dim >= _SPLIT_MIN_DIM else 0
+    xs = np.array(point_words, dtype=np.uint32).reshape(-1, 1)
+    target = np.array([dim - u for u in values], dtype=np.uint8).reshape(-1, 1)
+    hi = np.arange(1 << (dim - lo_bits), dtype=np.uint32)
+    # Distance left for the low half; uint8 wraps a negative one above lo_bits.
+    resid = target - np.bitwise_count(hi ^ (xs >> lo_bits))
+    keep = (resid <= lo_bits).all(axis=0)
+    hi = hi[keep]
+    if lo_bits == 0 or hi.size == 0:
+        return hi
+    n_key = min(xs.size, _KEY_BYTES)
+    lo = np.arange(1 << lo_bits, dtype=np.uint32)
+    lo_dist = np.bitwise_count(lo ^ (xs[:n_key] & np.uint32((1 << lo_bits) - 1)))
+    lo_key = _row_keys(lo_dist)
+    hi_key = _row_keys(resid[:n_key, keep])
+    order = np.argsort(lo_key, kind="stable")
+    lo_key = lo_key[order]
+    start = np.searchsorted(lo_key, hi_key, side="left")
+    counts = np.searchsorted(lo_key, hi_key, side="right") - start
+    # Output position p of high half h reads order[start[h] + p - first[h]],
+    # where first[h] is h's first output position.
+    first = np.cumsum(counts) - counts
+    pos = np.arange(int(first[-1] + counts[-1]), dtype=np.int32)
+    pos += np.repeat((start - first).astype(np.int32), counts)
+    z = np.repeat(hi << np.uint32(lo_bits), counts)
+    z |= order.astype(np.uint32)[pos]
+    if n_key < xs.size:
+        z = z[(np.bitwise_count(z ^ xs[n_key:]) == target[n_key:]).all(axis=0)]
     return z
+
+
+def _row_keys(table: np.ndarray) -> np.ndarray:
+    """One uint64 per column of a uint8 table of at most _KEY_BYTES rows:
+    the column's bytes, zero-padded; equal columns give equal keys."""
+    packed = np.zeros((table.shape[1], _KEY_BYTES), dtype=np.uint8)
+    packed[:, : table.shape[0]] = table.T
+    return packed.view(np.uint64).ravel()
 
 
 def consistent_set(q: ConsistencyQuery) -> set[BitString]:
@@ -126,6 +190,29 @@ def embed_word(small: int, positions, base: int) -> int:
     return out
 
 
+def block_projection(n: int, point_words, values, anchor_lo: int, anchor_hi: int):
+    """Project a ``chooseConsistentSub`` history onto the anchors' block.
+
+    The block is where the anchors differ.  Every history point must agree
+    with the anchors outside it, and every value must be a block-level count
+    in 0..len(block).  Returns (block_positions, outside, projected_words),
+    where ``outside`` is the anchors' shared bits off the block.
+    """
+    block = tuple(int(p) for p in differing_positions(anchor_lo, anchor_hi, n))
+    _require_enumerable(len(block))
+    block_mask = (anchor_lo ^ anchor_hi) & ((1 << n) - 1)
+    outside = anchor_lo & ~block_mask
+    projected = []
+    for w in point_words:
+        if w & ~block_mask & ((1 << n) - 1) != outside:
+            raise ValueError("history point disagrees with the anchors outside the block")
+        projected.append(project_word(w, block))
+    for u in values:
+        if not 0 <= u <= len(block):
+            raise ValueError(f"block value {u} outside 0..{len(block)}")
+    return block, outside, projected
+
+
 def choose_consistent_sub_word(
     n: int,
     point_words,
@@ -136,27 +223,13 @@ def choose_consistent_sub_word(
 ) -> tuple[int, int, tuple[int, ...]]:
     """Block-restricted consistent draw; the block is where the anchors differ.
 
-    The anchors must agree outside the block and every history point must
-    agree with them there; the values are block-level agreement counts.
-    Returns (word, block_draw, block_positions); the output always carries the
-    anchors' bits outside the block.
+    The history is validated and projected by ``block_projection``; the
+    values are block-level agreement counts.  Returns (word, block_draw,
+    block_positions); the output always carries the anchors' bits outside
+    the block.
     """
-    block = tuple(int(p) for p in differing_positions(anchor_lo, anchor_hi, n))
-    ell = len(block)
-    _require_enumerable(ell)
-    block_mask = 0
-    for p in block:
-        block_mask |= 1 << p
-    outside = anchor_lo & ~block_mask
-    proj_points = []
-    for w in point_words:
-        if w & ~block_mask & ((1 << n) - 1) != outside:
-            raise ValueError("history point disagrees with the anchors outside the block")
-        proj_points.append(project_word(w, block))
-    for u in values:
-        if not 0 <= u <= ell:
-            raise ValueError(f"block value {u} outside 0..{ell}")
-    small, draw = choose_consistent_word(ell, proj_points, values, rng) if ell else (0, 0)
+    block, outside, projected = block_projection(n, point_words, values, anchor_lo, anchor_hi)
+    small, draw = choose_consistent_word(len(block), projected, values, rng) if block else (0, 0)
     return outside | embed_word(small, block, 0), draw, block
 
 

@@ -38,6 +38,7 @@ from .problems import INSTANCE_CLASSES, Oracle, random_instance
 
 __all__ = [
     "ConfigError",
+    "TrialFailed",
     "ExperimentConfig",
     "SummaryRow",
     "run_experiment",
@@ -76,6 +77,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration, detected before any run starts."""
 
 
+class TrialFailed(RuntimeError):
+    """A trial raised; the message names the trial and the original error,
+    which is also the ``__cause__`` where the trial ran in this process."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     algorithm: str
@@ -85,7 +91,6 @@ class ExperimentConfig:
     base_seed: int = 0
     k: int | None = None
     budget: int | None = None
-    output_path: str | None = None
     workers: int = 1
 
 
@@ -121,18 +126,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 def _trial(args) -> RunRecord:
     algorithm, class_name, n, k, seed, budget = args
-    inst_ss, alg_ss = np.random.SeedSequence(seed).spawn(2)
-    oracle = Oracle(random_instance(class_name, n, inst_ss), budget)
-    rng = np.random.default_rng(alg_ss)
-    if algorithm == "binary_onemax":
-        return run_binary_onemax(n, oracle, rng, seed=seed)
-    if algorithm == "star_ary_onemax":
-        return run_star_ary_onemax(n, oracle, rng, seed=seed)
-    if algorithm == "kary_onemax":
-        return run_kary_onemax(n, k, oracle, rng, seed=seed)
-    if algorithm == "binary_leadingones":
-        return run_binary_leadingones(n, oracle, rng, seed=seed)
-    return run_rls_baseline(n, oracle, rng, seed=seed)
+    try:
+        inst_ss, alg_ss = np.random.SeedSequence(seed).spawn(2)
+        oracle = Oracle(random_instance(class_name, n, inst_ss), budget)
+        rng = np.random.default_rng(alg_ss)
+        if algorithm == "binary_onemax":
+            return run_binary_onemax(n, oracle, rng, seed=seed)
+        if algorithm == "star_ary_onemax":
+            return run_star_ary_onemax(n, oracle, rng, seed=seed)
+        if algorithm == "kary_onemax":
+            return run_kary_onemax(n, k, oracle, rng, seed=seed)
+        if algorithm == "binary_leadingones":
+            return run_binary_leadingones(n, oracle, rng, seed=seed)
+        return run_rls_baseline(n, oracle, rng, seed=seed)
+    except Exception as exc:
+        raise TrialFailed(
+            f"trial {algorithm} on {class_name} n={n} seed={seed} failed:"
+            f" {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def pool_size(workers: int, n_tasks: int) -> int:
@@ -145,7 +156,11 @@ def pool_size(workers: int, n_tasks: int) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Run trials x n_values seeded runs; deterministic for any worker count."""
+    """Run trials x n_values seeded runs; deterministic for any worker count.
+
+    A trial that raises is re-raised as ``TrialFailed``, naming its
+    algorithm, class, n and seed, at any worker count.
+    """
     validate_config(cfg)
     tasks = []
     run_id = 0

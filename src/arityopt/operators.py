@@ -21,11 +21,11 @@ import numpy as np
 from .bitcore import BitString, differing_positions, nth_set_bit
 from .consistency import (
     ExactEnumerationUnavailable,
+    block_projection,
     choose_consistent_sub_word,
     choose_consistent_word,
     consistent_words,
     embed_word,
-    project_word,
 )
 
 __all__ = [
@@ -411,21 +411,7 @@ def exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None) -> 
         p = 1.0 / survivors.size
         return OutputDistribution({BitString(n, int(w)): p for w in survivors})
     if name == "chooseConsistentSub":
-        a_lo, a_hi = words[-2], words[-1]
-        block = tuple(int(q) for q in differing_positions(a_lo, a_hi, n))
-        block_mask = 0
-        for q in block:
-            block_mask |= 1 << q
-        outside = a_lo & ~block_mask
-        for w in words[:-2]:
-            if w & ~block_mask & ((1 << n) - 1) != outside:
-                raise ValueError(
-                    "history point disagrees with the anchors outside the block"
-                )
-        for u in op.params:
-            if not 0 <= u <= len(block):
-                raise ValueError(f"block value {u} outside 0..{len(block)}")
-        proj = [project_word(w, block) for w in words[:-2]]
+        block, outside, proj = block_projection(n, words[:-2], op.params, words[-2], words[-1])
         survivors = consistent_words(len(block), proj, op.params) if block else np.array([0])
         if survivors.size == 0:
             survivors = np.arange(1 << len(block), dtype=np.uint32)

@@ -6,16 +6,19 @@ import csv
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from arityopt import harness
 from arityopt.algorithms import RunRecord
 from arityopt.harness import (
     RUNS_HEADER,
     SUMMARY_HEADER,
     ConfigError,
     ExperimentConfig,
+    TrialFailed,
     emit_report,
     fit_curve,
     pool_size,
@@ -110,6 +113,26 @@ class TestRunExperiment:
         assert 1 <= pool_size(10**6, 10**6) <= (os.cpu_count() or 1)
         assert pool_size(1, 100) == 1
         assert pool_size(2, 1) == 1
+
+    def test_failed_trial_is_named(self, monkeypatch):
+        # workers=1: the trial runs in this process and no pool is opened
+        real = harness.run_rls_baseline
+
+        def fail_on_seed_12(n, oracle, rng, seed):
+            if seed == 12:
+                raise ZeroDivisionError("injected")
+            return real(n, oracle, rng, seed=seed)
+
+        monkeypatch.setattr(harness, "run_rls_baseline", fail_on_seed_12)
+        c = cfg(algorithm="rls", class_name="leadingones", n_values=(6,), trials=4, base_seed=10)
+        with pytest.raises(TrialFailed) as info:
+            run_experiment(c)
+        message = "trial rls on leadingones n=6 seed=12 failed: ZeroDivisionError: injected"
+        assert str(info.value) == message
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        # a pool sends the exception back pickled
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is TrialFailed and str(copy) == message
 
     def test_deterministic_across_calls(self):
         c = cfg(algorithm="rls", class_name="leadingones", n_values=(10,), trials=5)
