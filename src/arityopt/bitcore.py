@@ -22,6 +22,7 @@ __all__ = [
     "hamming_distance",
     "xor",
     "apply_permutation",
+    "permute_words",
     "apply_automorphism",
     "word_unpack",
     "word_pack",
@@ -176,6 +177,18 @@ def apply_permutation(sigma: Permutation, x: BitString) -> BitString:
         if (x.word >> j) & 1:
             word |= 1 << i
     return BitString(x.n, word)
+
+
+def permute_words(sigma: Permutation, words: np.ndarray) -> np.ndarray:
+    """``apply_permutation`` on every word of an integer array at once.
+
+    One vector shift per position: output bit i of each word takes its bit
+    at ``sigma.mapping[i]``.
+    """
+    out = np.zeros_like(words)
+    for i, j in enumerate(sigma.mapping):
+        out |= ((words >> j) & 1) << i
+    return out
 
 
 def apply_automorphism(a: HammingAutomorphism, x: BitString) -> BitString:

@@ -198,19 +198,29 @@ def block_projection(n: int, point_words, values, anchor_lo: int, anchor_hi: int
     in 0..len(block).  Returns (block_positions, outside, projected_words),
     where ``outside`` is the anchors' shared bits off the block.
     """
-    block = tuple(int(p) for p in differing_positions(anchor_lo, anchor_hi, n))
+    block = tuple(differing_positions(anchor_lo, anchor_hi, n).tolist())
     _require_enumerable(len(block))
     block_mask = (anchor_lo ^ anchor_hi) & ((1 << n) - 1)
     outside = anchor_lo & ~block_mask
-    projected = []
-    for w in point_words:
-        if w & ~block_mask & ((1 << n) - 1) != outside:
+    off_block = ~block_mask & ((1 << n) - 1)
+    # All points at once: point i's block span sits in slot i of one int, and
+    # each block position moves its bit of every slot in one shift and mask.
+    low = block[0] if block else 0
+    slot = block[-1] - low + 1 if block else 1
+    stacked = 0
+    for i, w in enumerate(point_words):
+        if w & off_block != outside:
             raise ValueError("history point disagrees with the anchors outside the block")
-        projected.append(project_word(w, block))
+        stacked |= ((w & block_mask) >> low) << (i * slot)
     for u in values:
         if not 0 <= u <= len(block):
             raise ValueError(f"block value {u} outside 0..{len(block)}")
-    return block, outside, projected
+    ones = ((1 << (len(point_words) * slot)) - 1) // ((1 << slot) - 1)
+    packed = 0
+    for j, p in enumerate(block):
+        packed |= ((stacked >> (p - low)) & ones) << j
+    small = (1 << len(block)) - 1
+    return block, outside, [(packed >> (i * slot)) & small for i in range(len(point_words))]
 
 
 def choose_consistent_sub_word(

@@ -3,7 +3,11 @@
 Each operator exists in two forms: a sampler that draws one output from the
 operator's distribution using a caller-supplied generator, and (for n up to
 16) the exact probability mass function over outputs.  The pmf form is what
-makes unbiasedness certification exact instead of statistical.
+makes unbiasedness certification exact instead of statistical.  It is defined
+once, by ``pmf_vector``: a dense float64 array of length 2**n indexed by
+output word, which the certifier pushes through xor shifts and permutations
+by index arrays.  ``exact_pmf`` is the same pmf as an ``OutputDistribution``
+over ``BitString`` outputs, built from the vector's nonzero entries.
 
 The word-level kernels (``sample_operator``) are the hot path shared with the
 run engine; the bitstring-level functions are thin validated wrappers around
@@ -13,7 +17,6 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import fsum
 
 import numpy as np
@@ -25,7 +28,6 @@ from .consistency import (
     choose_consistent_sub_word,
     choose_consistent_word,
     consistent_words,
-    embed_word,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "flip_one_uniform",
     "sample_operator",
     "exact_pmf",
+    "pmf_vector",
     "EXACT_PMF_LIMIT",
     "UNIFORM_SAMPLE",
     "COMPLEMENT",
@@ -137,6 +140,15 @@ def choose_consistent_sub_id(values) -> OperatorId:
     return OperatorId("chooseConsistentSub", len(vals) + 2, vals)
 
 
+def _check_probabilities(values: list[float]) -> None:
+    """A pmf's probabilities sum to 1 within 1e-12 and none is negative."""
+    total = fsum(values)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    if min(values) < 0:
+        raise ValueError("negative probability in support")
+
+
 @dataclass(frozen=True)
 class OutputDistribution:
     """Exact output distribution of one operator application."""
@@ -144,22 +156,10 @@ class OutputDistribution:
     support: dict
 
     def __post_init__(self) -> None:
-        total = fsum(self.support.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if any(p < 0 for p in self.support.values()):
-            raise ValueError("negative probability in support")
+        _check_probabilities(list(self.support.values()))
 
     def prob(self, x: BitString) -> float:
         return self.support.get(x, 0.0)
-
-    def push(self, fn) -> "OutputDistribution":
-        """Pushforward through a (not necessarily injective) map on outputs."""
-        out: dict = {}
-        for x, p in self.support.items():
-            y = fn(x)
-            out[y] = out.get(y, 0.0) + p
-        return OutputDistribution(out)
 
     def max_deviation(self, other: "OutputDistribution") -> float:
         keys = self.support.keys() | other.support.keys()
@@ -198,16 +198,20 @@ def _k_flip_one(words, n, params, rng):
 
 def _k_flip_k(words, n, params, rng):
     x, y = words
-    ell = params[0]
-    pos = differing_positions(x, y, n)
-    take = min(ell, pos.size)
+    d = x ^ y
+    pos = []
+    while d:
+        low = d & -d
+        pos.append(low.bit_length() - 1)
+        d ^= low
+    take = min(params[0], len(pos))
     if take == 0:
         return y, ()
-    chosen = pos[rng.choice(pos.size, size=take, replace=False)]
+    chosen = [pos[r] for r in rng.choice(len(pos), size=take, replace=False).tolist()]
     out = y
     for p in chosen:
-        out ^= 1 << int(p)
-    return out, tuple(int(p) for p in np.sort(chosen))
+        out ^= 1 << p
+    return out, tuple(sorted(chosen))
 
 
 def _k_rwd(words, n, params, rng):
@@ -331,21 +335,81 @@ def flip_one_uniform(x: BitString, rng) -> BitString:
     return BitString(x.n, word)
 
 
-def _submasks(d: int):
-    """All submasks of d, including 0 and d."""
-    s = d
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & d
+def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
+    """Exact output pmf of op on the parent words, indexed by output word.
+
+    A float64 array of length 2**n (n <= 16) whose entry w is the
+    probability that op outputs w.  Each family writes its support through
+    one index array: randomWhereDifferent and flipKWhereDifferent select the
+    submasks of the parents' difference from arange(2**n), and
+    chooseConsistent and chooseConsistentSub index with the ascending
+    survivor array of ``consistent_words``.
+    """
+    if len(words) != op.arity:
+        raise ValueError(f"{op.name} expects {op.arity} parents, got {len(words)}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n > EXACT_PMF_LIMIT:
+        raise ExactEnumerationUnavailable(
+            f"length {n} exceeds exact pmf limit {EXACT_PMF_LIMIT}"
+        )
+    for w in words:
+        if w < 0 or w >> n:
+            raise ValueError(f"word {w:#x} does not fit in {n} bits")
+    size = 1 << n
+    v = np.zeros(size)
+    name = op.name
+
+    if name in ("complement", "update", "switchIfDistanceOne"):
+        word, _ = _KERNELS[name](words, n, None, None)
+        v[word] = 1.0
+    elif name == "uniformSample":
+        v[:] = 1.0 / size
+    elif name == "flipOneWhereDifferent":
+        x, y = words
+        pos = differing_positions(x, y, n)
+        if pos.size == 0:
+            v[x] = 1.0
+        else:
+            v[x ^ (1 << pos)] = 1.0 / pos.size
+    elif name in ("flipKWhereDifferent", "randomWhereDifferent"):
+        x, y = words
+        d = x ^ y
+        sub = np.arange(size)
+        sub = sub[(sub & d) == sub]
+        if name == "randomWhereDifferent":
+            v[x ^ sub] = 1.0 / (1 << d.bit_count())
+        else:
+            sub = sub[np.bitwise_count(sub) == min(op.params[0], d.bit_count())]
+            v[y ^ sub] = 1.0 / sub.size
+    elif name == "flipOneUniform":
+        v[words[0] ^ (1 << np.arange(n))] = 1.0 / n
+    elif name == "chooseConsistent":
+        survivors = consistent_words(n, words, op.params)
+        if survivors.size == 0:
+            v[:] = 1.0 / size
+        else:
+            v[survivors] = 1.0 / survivors.size
+    elif name == "chooseConsistentSub":
+        block, outside, proj = block_projection(n, words[:-2], op.params, words[-2], words[-1])
+        survivors = consistent_words(len(block), proj, op.params) if block else np.array([0])
+        if survivors.size == 0:
+            survivors = np.arange(1 << len(block), dtype=np.uint32)
+        out = np.full(survivors.size, outside)
+        for j, p in enumerate(block):
+            out |= ((survivors >> j) & 1).astype(np.int64) << p
+        v[out] = 1.0 / survivors.size
+    else:
+        raise ValueError(f"unknown operator name {name!r}")  # pragma: no cover
+    _check_probabilities(v[v != 0].tolist())
+    return v
 
 
 def exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None) -> OutputDistribution:
     """Full output distribution of op on the given parents; n <= 16 only.
 
-    ``n`` is required only for 0-ary operators, where no parent fixes the
-    length.
+    The support is the nonzero entries of ``pmf_vector``.  ``n`` is required
+    only for 0-ary operators, where no parent fixes the length.
     """
     if len(inputs) != op.arity:
         raise ValueError(f"{op.name} expects {op.arity} parents, got {len(inputs)}")
@@ -353,73 +417,8 @@ def exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None) -> 
         n = _check_lengths(*inputs)
     elif n is None:
         raise ValueError("n is required for 0-ary operators")
-    if n > EXACT_PMF_LIMIT:
-        raise ExactEnumerationUnavailable(
-            f"length {n} exceeds exact pmf limit {EXACT_PMF_LIMIT}"
-        )
-    words = [x.word for x in inputs]
-    name = op.name
-
-    if name == "uniformSample":
-        p = 1.0 / (1 << n)
-        return OutputDistribution({BitString(n, w): p for w in range(1 << n)})
-    if name == "complement":
-        return OutputDistribution({complement_op(inputs[0]): 1.0})
-    if name == "flipOneWhereDifferent":
-        x, y = words
-        pos = differing_positions(x, y, n)
-        if pos.size == 0:
-            return OutputDistribution({inputs[0]: 1.0})
-        p = 1.0 / pos.size
-        return OutputDistribution(
-            {BitString(n, x ^ (1 << int(q))): p for q in pos}
-        )
-    if name == "flipKWhereDifferent":
-        x, y = words
-        ell = op.params[0]
-        pos = [int(q) for q in differing_positions(x, y, n)]
-        take = min(ell, len(pos))
-        subsets = list(combinations(pos, take))
-        p = 1.0 / len(subsets)
-        out: dict = {}
-        for subset in subsets:
-            w = y
-            for q in subset:
-                w ^= 1 << q
-            out[BitString(n, w)] = out.get(BitString(n, w), 0.0) + p
-        return OutputDistribution(out)
-    if name == "randomWhereDifferent":
-        x, y = words
-        d = x ^ y
-        p = 1.0 / (1 << d.bit_count())
-        return OutputDistribution(
-            {BitString(n, x ^ s): p for s in _submasks(d)}
-        )
-    if name == "update":
-        return OutputDistribution({update_op(*inputs): 1.0})
-    if name == "switchIfDistanceOne":
-        return OutputDistribution({switch_if_distance_one(*inputs): 1.0})
-    if name == "flipOneUniform":
-        x = words[0]
-        p = 1.0 / n
-        return OutputDistribution({BitString(n, x ^ (1 << i)): p for i in range(n)})
-    if name == "chooseConsistent":
-        survivors = consistent_words(n, words, op.params)
-        if survivors.size == 0:
-            p = 1.0 / (1 << n)
-            return OutputDistribution({BitString(n, w): p for w in range(1 << n)})
-        p = 1.0 / survivors.size
-        return OutputDistribution({BitString(n, int(w)): p for w in survivors})
-    if name == "chooseConsistentSub":
-        block, outside, proj = block_projection(n, words[:-2], op.params, words[-2], words[-1])
-        survivors = consistent_words(len(block), proj, op.params) if block else np.array([0])
-        if survivors.size == 0:
-            survivors = np.arange(1 << len(block), dtype=np.uint32)
-        p = 1.0 / survivors.size
-        return OutputDistribution(
-            {
-                BitString(n, outside | embed_word(int(s), block, 0)): p
-                for s in survivors
-            }
-        )
-    raise ValueError(f"unknown operator name {name!r}")  # pragma: no cover
+    v = pmf_vector(op, [x.word for x in inputs], n)
+    support = np.flatnonzero(v)
+    return OutputDistribution(
+        {BitString(n, w): p for w, p in zip(support.tolist(), v[support].tolist())}
+    )

@@ -6,6 +6,11 @@ full scan over all 2**dim words returned: the same uint32 words in the same
 ascending order, so that ``choose_consistent_word``'s uniform index picks the
 same word and seeded runs keep their query counts and output bytes.  The
 earlier scan is kept here verbatim as the oracle.
+
+``block_projection`` projects a ``chooseConsistentSub`` history onto the
+anchors' block with one numpy unpack and pack of all the points together.
+It must return the words and raise the errors, in the same order, of the
+earlier per-point loop, also kept here verbatim.
 """
 
 from __future__ import annotations
@@ -16,10 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arityopt import consistency
+from arityopt.bitcore import differing_positions
 from arityopt.consistency import (
+    ENUMERATION_DIM_LIMIT,
     _require_enumerable,
+    block_projection,
     choose_consistent_word,
     consistent_words,
+    project_word,
 )
 
 
@@ -31,6 +40,22 @@ def filter_consistent_words(dim: int, point_words, values) -> np.ndarray:
         if z.size == 0:
             break
     return z
+
+
+def loop_block_projection(n: int, point_words, values, anchor_lo: int, anchor_hi: int):
+    block = tuple(int(p) for p in differing_positions(anchor_lo, anchor_hi, n))
+    _require_enumerable(len(block))
+    block_mask = (anchor_lo ^ anchor_hi) & ((1 << n) - 1)
+    outside = anchor_lo & ~block_mask
+    projected = []
+    for w in point_words:
+        if w & ~block_mask & ((1 << n) - 1) != outside:
+            raise ValueError("history point disagrees with the anchors outside the block")
+        projected.append(project_word(w, block))
+    for u in values:
+        if not 0 <= u <= len(block):
+            raise ValueError(f"block value {u} outside 0..{len(block)}")
+    return block, outside, projected
 
 
 def assert_same_words(dim, point_words, values):
@@ -144,3 +169,55 @@ def test_choose_consistent_word_without_constraints(dim):
     want = int(ref_rng.integers(1 << dim))
     assert (word, draw) == (want, want)
     assert rng.integers(2**63) == ref_rng.integers(2**63)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sub_histories(draw):
+    """(n, points, values, anchor_lo, anchor_hi): a block of 0..26 positions
+    (past the enumeration limit at times), points that mostly agree with the
+    anchors off the block, values mostly in 0..len(block)."""
+    n = draw(st.one_of(st.integers(1, 80), st.sampled_from([255, 256, 257, 1000])))
+    full = (1 << n) - 1
+    positions = draw(st.lists(st.integers(0, n - 1), max_size=ENUMERATION_DIM_LIMIT + 2))
+    mask = sum(1 << p for p in set(positions))
+    anchor_lo = draw(st.integers(0, full))
+    anchor_hi = anchor_lo ^ mask
+    t = draw(st.integers(0, 20))
+    points = [
+        (anchor_lo & ~mask) | (draw(st.integers(0, full)) & mask) for _ in range(t)
+    ]
+    if points and draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, t - 1))
+        points[i] ^= 1 << draw(st.integers(0, n - 1))
+    ell = len(set(positions))
+    values = draw(st.lists(st.integers(-1, ell + 1), min_size=t, max_size=t))
+    return n, points, values, anchor_lo, anchor_hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(sub_histories())
+def test_block_projection_matches_loop(history):
+    got = outcome(block_projection, *history)
+    want = outcome(loop_block_projection, *history)
+    assert got == want
+    if not isinstance(got[0], type):
+        assert all(type(w) is int for w in got[2])
+
+
+@pytest.mark.parametrize("block", [(), (0,), (7,), (8,), (0, 8, 16, 23), tuple(range(40, 64))])
+def test_block_projection_edges(block):
+    n = 64
+    mask = sum(1 << p for p in block)
+    anchor_lo = 0x5A5A5A5A5A5A5A5A & ~mask
+    points = [anchor_lo | (w & mask) for w in (0, mask, 0x0123456789ABCDEF)]
+    values = [0, len(block), len(block) // 2]
+    args = (n, points, values, anchor_lo, anchor_lo | mask)
+    assert block_projection(*args) == loop_block_projection(*args)
+    assert block_projection(*args[:1], [], [], *args[3:]) == (block, anchor_lo, [])

@@ -1,7 +1,8 @@
 """The pure-int hot path against the numpy code it replaced.
 
-``flipOneWhereDifferent`` picks its flipped bit with ``bitcore.nth_set_bit``
-and monotone evaluation selects weights with ``ndarray.compress``.  Both must
+``flipOneWhereDifferent`` picks its flipped bit with ``bitcore.nth_set_bit``,
+``flipKWhereDifferent`` reads the differing positions off the int, and
+monotone evaluation selects weights with ``ndarray.compress``.  Each must
 reproduce the earlier numpy code exactly: the same output word, the same draw
 record, the same generator position afterwards and bit-identical floats, so
 that seeded runs keep their query counts and output bytes.  The earlier code
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arityopt.bitcore import BitString
-from arityopt.operators import FLIP_ONE_WHERE_DIFFERENT, sample_operator
+from arityopt.operators import FLIP_ONE_WHERE_DIFFERENT, flip_k_id, sample_operator
 from arityopt.problems import MonotoneInstance, random_instance
 
 
@@ -38,6 +39,20 @@ def _k_flip_one(words, n, params, rng):
     pos = differing_positions(x, y, n)
     p = int(pos[rng.integers(pos.size)])
     return x ^ (1 << p), p
+
+
+def _k_flip_k(words, n, params, rng):
+    x, y = words
+    ell = params[0]
+    pos = differing_positions(x, y, n)
+    take = min(ell, pos.size)
+    if take == 0:
+        return y, ()
+    chosen = pos[rng.choice(pos.size, size=take, replace=False)]
+    out = y
+    for p in chosen:
+        out ^= 1 << int(p)
+    return out, tuple(int(p) for p in np.sort(chosen))
 
 
 def monotone_reference(inst: MonotoneInstance, word: int) -> float:
@@ -91,6 +106,20 @@ class TestFlipOneWhereDifferent:
         assert got == want
         assert type(got[1]) is type(want[1])
         # both generators stand at the same position of the stream
+        assert rng_new.integers(2**63) == rng_old.integers(2**63)
+
+
+class TestFlipKWhereDifferent:
+    @settings(max_examples=400, deadline=None)
+    @given(word_pairs(), st.data(), st.integers(0, 2**64 - 1))
+    def test_matches_numpy_kernel(self, pair, data, seed):
+        n, x, y = pair
+        ell = data.draw(st.integers(0, n + 1))
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_operator(flip_k_id(ell), (x, y), n, rng_new)
+        want = _k_flip_k((x, y), n, (ell,), rng_old)
+        assert got == want
+        assert all(type(p) is int for p in got[1])
         assert rng_new.integers(2**63) == rng_old.integers(2**63)
 
 
