@@ -1,146 +1,13 @@
 """Unbiased variation operators and query-complexity experiments on bit strings.
 
-Subpackage map: ``bitcore`` (bit strings, Hamming automorphisms),
+Subpackage map: ``bitcore`` (bit strings, Hamming distance, permutations),
 ``problems`` (instance classes and the query-counting oracle),
 ``operators`` (operator ids, samplers, exact pmfs), ``consistency``
-(consistent-set enumeration and samplers), ``algorithms`` (search
-policies and the arity-enforcing engine), ``unbiasedness`` (invariance
-certification), ``bounds`` (round counts, inequality check, theory
-curves), ``harness`` (seeded batches, summaries, fits, file output),
-``cli`` (command line).
+(consistent-set enumeration and samplers), ``algorithms`` (the algorithm
+registry, search policies and the arity-enforcing engine),
+``unbiasedness`` (invariance certification), ``bounds`` (round counts,
+inequality check, theory curves), ``harness`` (seeded batches, summaries,
+fits, file output), ``cli`` (command line).
 """
 
-from __future__ import annotations
-
-from .algorithms import (
-    ALGORITHMS,
-    EngineState,
-    ModelViolation,
-    OperatorCall,
-    PointHandle,
-    RunRecord,
-    default_budget,
-    optimize_subset,
-    run_binary_leadingones,
-    run_binary_onemax,
-    run_kary_onemax,
-    run_rls_baseline,
-    run_star_ary_onemax,
-)
-from .bitcore import (
-    BitString,
-    HammingAutomorphism,
-    Permutation,
-    apply_automorphism,
-    apply_permutation,
-    hamming_distance,
-)
-from .bounds import (
-    BoundCheckResult,
-    check_proposition1,
-    log2_binomial,
-    round_count,
-    theory_curve,
-)
-from .consistency import (
-    ExactEnumerationUnavailable,
-    choose_consistent,
-    choose_consistent_sub,
-    consistent_set,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    SummaryRow,
-    emit_report,
-    fit_curve,
-    read_runs_csv,
-    run_experiment,
-    summarize,
-)
-from .operators import (
-    OperatorId,
-    OutputDistribution,
-    exact_pmf,
-    sample_operator,
-)
-from .problems import (
-    INSTANCE_CLASSES,
-    BudgetExhausted,
-    LeadingOnesInstance,
-    MonotoneInstance,
-    OneMaxInstance,
-    Oracle,
-    evaluate_leadingones,
-    evaluate_monotone,
-    evaluate_onemax,
-    oracle_query,
-    random_instance,
-)
-from .unbiasedness import (
-    CertificationReport,
-    certify_operator,
-    check_perm_invariance,
-    check_xor_invariance,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS",
-    "BitString",
-    "BoundCheckResult",
-    "BudgetExhausted",
-    "CertificationReport",
-    "ConfigError",
-    "EngineState",
-    "ExactEnumerationUnavailable",
-    "ExperimentConfig",
-    "HammingAutomorphism",
-    "INSTANCE_CLASSES",
-    "LeadingOnesInstance",
-    "ModelViolation",
-    "MonotoneInstance",
-    "OneMaxInstance",
-    "OperatorCall",
-    "OperatorId",
-    "Oracle",
-    "OutputDistribution",
-    "Permutation",
-    "PointHandle",
-    "RunRecord",
-    "SummaryRow",
-    "apply_automorphism",
-    "apply_permutation",
-    "certify_operator",
-    "check_perm_invariance",
-    "check_proposition1",
-    "check_xor_invariance",
-    "choose_consistent",
-    "choose_consistent_sub",
-    "consistent_set",
-    "default_budget",
-    "emit_report",
-    "evaluate_leadingones",
-    "evaluate_monotone",
-    "evaluate_onemax",
-    "exact_pmf",
-    "fit_curve",
-    "hamming_distance",
-    "log2_binomial",
-    "optimize_subset",
-    "oracle_query",
-    "random_instance",
-    "read_runs_csv",
-    "round_count",
-    "run_binary_leadingones",
-    "run_binary_onemax",
-    "run_experiment",
-    "run_kary_onemax",
-    "run_rls_baseline",
-    "run_star_ary_onemax",
-    "sample_operator",
-    "summarize",
-    "theory_curve",
-    "__version__",
-]

@@ -13,19 +13,20 @@ the engine is built with ``audit=True``.
 Policies implemented on top: a binary-operator OneMax optimizer (also sound
 on any monotone agreement function), an unrestricted-arity sampling optimizer
 for small n, a k-ary block optimizer with its subset subroutine, a binary
-LeadingOnes optimizer, and a unary random-local-search baseline.
+LeadingOnes optimizer, and a unary random-local-search baseline.  The
+registry ``ALGORITHMS`` holds one :class:`Algorithm` record for each, which
+the runners, the harness and the CLI read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from .bitcore import BitString
 from .bounds import round_count
+from .consistency import ENUMERATION_DIM_LIMIT
 from .operators import (
     COMPLEMENT,
     FLIP_ONE_UNIFORM,
@@ -40,7 +41,7 @@ from .operators import (
     flip_k_id,
     sample_operator,
 )
-from .problems import BudgetExhausted, Oracle, oracle_query
+from .problems import BudgetExhausted, Oracle
 
 __all__ = [
     "ModelViolation",
@@ -49,9 +50,9 @@ __all__ = [
     "OperatorCall",
     "EngineState",
     "PolicyView",
-    "CriticalPair",
     "RunRecord",
-    "engine_apply",
+    "Algorithm",
+    "ALGORITHMS",
     "default_budget",
     "subset_round_count",
     "optimize_subset",
@@ -60,16 +61,7 @@ __all__ = [
     "run_kary_onemax",
     "run_binary_leadingones",
     "run_rls_baseline",
-    "ALGORITHMS",
 ]
-
-ALGORITHMS = (
-    "binary_onemax",
-    "star_ary_onemax",
-    "kary_onemax",
-    "binary_leadingones",
-    "rls",
-)
 
 
 class ModelViolation(RuntimeError):
@@ -89,10 +81,6 @@ class PointHandle(int):
 
     __slots__ = ()
 
-    @property
-    def index(self) -> int:
-        return int(self)
-
 
 class OperatorCall(NamedTuple):
     """Audit record of one operator application."""
@@ -101,14 +89,6 @@ class OperatorCall(NamedTuple):
     arity: int
     parents: tuple
     draw: object
-
-
-class CriticalPair(NamedTuple):
-    """Pair of handles with f(x) >= f(y) and exactly f(y) agreeing positions."""
-
-    x_handle: PointHandle
-    y_handle: PointHandle
-    value: int
 
 
 @dataclass(frozen=True)
@@ -182,20 +162,15 @@ class EngineState:
 
 
 class PolicyView:
-    """What a policy is allowed to see: apply, fitness values, n, max arity."""
+    """What a policy is allowed to see: apply, n, max arity.  Fitness values
+    come back from ``apply``; the history itself stays with the oracle."""
 
-    __slots__ = ("apply", "fitnesses", "n", "max_arity")
+    __slots__ = ("apply", "n", "max_arity")
 
     def __init__(self, engine: EngineState):
         self.apply = engine.apply
-        self.fitnesses = engine.fitnesses
         self.n = engine.n
         self.max_arity = engine.max_arity
-
-
-def engine_apply(e: EngineState, op: OperatorId, parents, rng):
-    """Apply one operator through the engine; returns (handle, fitness)."""
-    return e.apply(op, parents, rng)
 
 
 def default_budget(n: int) -> int:
@@ -391,112 +366,138 @@ def policy_rls(view: PolicyView, rng):
 def optimize_subset(n: int, ell: int, anchors, oracle: Oracle, rng) -> BitString:
     """Standalone subset solver over an anchor pair differing on ell positions.
 
-    Queries both anchors, then runs the same procedure as the k-ary policy's
-    subset phase without arity bookkeeping.  Returns the point carrying the
-    corrected block embedded in the anchors' shared suffix.
+    Queries both anchors, then runs the k-ary policy's subset phase on an
+    engine of unrestricted arity over the same oracle.  Returns the point
+    carrying the corrected block embedded in the anchors' shared suffix.
     """
     a_bar, a = anchors
     if a_bar.n != n or a.n != n:
         raise ValueError("anchor length does not match n")
     if (a_bar.word ^ a.word).bit_count() != ell:
         raise ValueError("anchors must differ on exactly ell positions")
-
-    class _Direct:
-        # Minimal stand-in for PolicyView over raw bitstrings.
-        __slots__ = ("n",)
-
-        def __init__(self):
-            self.n = n
-
-        def apply(self, op, parents, rng):
-            words = [p.word for p in parents]
-            word, _ = sample_operator(op, words, n, rng)
-            fit = oracle._query_word(word)
-            return BitString(n, word), fit
-
-    f_abar = oracle_query(oracle, a_bar)
-    f_a = oracle_query(oracle, a)
-    h, _ = _subset_policy(_Direct(), rng, ell, a_bar, f_abar, a, f_a)
-    return h
+    engine = EngineState(oracle, max_arity=None)
+    h_abar, f_abar = PointHandle(oracle.query_count), oracle.query(a_bar)
+    h_a, f_a = PointHandle(oracle.query_count), oracle.query(a)
+    h, _ = _subset_policy(engine.view, rng, ell, h_abar, f_abar, h_a, f_a)
+    return engine.debug_point(h)
 
 
-# Runners: wrap a policy with budget handling and produce a RunRecord.
+# The algorithm registry, and the runners: each checks its run against the
+# algorithm's record, runs the policy under the record's arity bound and
+# produces a RunRecord.
 
 
-def _run(algorithm, class_name, n, k, oracle, policy, seed):
+@dataclass(frozen=True)
+class Algorithm:
+    """One algorithm as the engine, the harness and the CLI see it.
+
+    ``k`` is the value of the runs CSV's k column, and the arity bound
+    follows from it: 2 is binary, 1 unary, 0 unrestricted, and None means
+    the run's own k, with 3 <= k <= ENUMERATION_DIM_LIMIT.  ``policy`` takes
+    (view, rng, class name, k).  ``runner`` names the public run function,
+    ``theory_model`` the ``bounds.theory_curve`` of its summary rows, and
+    ``max_n`` caps n for a policy that enumerates all of {0,1}^n.
+    """
+
+    name: str
+    runner: str
+    policy: Callable
+    classes: tuple[str, ...]
+    k: int | None
+    theory_model: str | None
+    max_n: int | None = None
+
+    def check(self, class_name: str, n: int, k: int | None) -> None:
+        """Raise ValueError unless a run on (class_name, n, k) is valid."""
+        if class_name not in self.classes:
+            raise ValueError(
+                f"{self.name} does not run on class {class_name};"
+                f" valid classes: {self.classes}"
+            )
+        if self.max_n is not None and n > self.max_n:
+            raise ValueError(
+                f"{self.name} enumerates hypotheses, n must be <= {self.max_n}, got {n}"
+            )
+        if self.k is None:
+            if k is None or not 3 <= k <= ENUMERATION_DIM_LIMIT:
+                raise ValueError(
+                    f"{self.name} requires 3 <= k <= {ENUMERATION_DIM_LIMIT}, got k={k}"
+                )
+        elif k is not None:
+            raise ValueError(f"{self.name} fixes k = {self.k}; only kary_onemax takes k")
+
+
+ALGORITHMS = {
+    spec.name: spec
+    for spec in (
+        Algorithm(
+            "binary_onemax", "run_binary_onemax",
+            lambda v, rng, kind, k: policy_binary_onemax(
+                v, rng, acceptance_stop=kind == "monotone"
+            ),
+            ("onemax", "monotone"), 2, "linear_2n",
+        ),
+        Algorithm(
+            "star_ary_onemax", "run_star_ary_onemax",
+            lambda v, rng, kind, k: policy_star_ary_onemax(v, rng),
+            ("onemax",), 0, "star_ary", ENUMERATION_DIM_LIMIT,
+        ),
+        Algorithm(
+            "kary_onemax", "run_kary_onemax",
+            lambda v, rng, kind, k: policy_kary_onemax(v, rng, k),
+            ("onemax",), None, "n_over_logk",
+        ),
+        Algorithm(
+            "binary_leadingones", "run_binary_leadingones",
+            lambda v, rng, kind, k: policy_binary_leadingones(v, rng),
+            ("leadingones",), 2, "nlogn",
+        ),
+        Algorithm(
+            "rls", "run_rls_baseline",
+            lambda v, rng, kind, k: policy_rls(v, rng),
+            ("onemax", "leadingones"), 1, None,
+        ),
+    )
+}
+
+
+def _run(name: str, n: int, k: int | None, oracle: Oracle, rng, seed: int) -> RunRecord:
+    spec = ALGORITHMS[name]
+    kind = oracle.debug_instance.kind
+    spec.check(kind, n, k)
     if oracle.n != n:
         raise ValueError(f"oracle wraps an instance of size {oracle.n}, not {n}")
-    engine = EngineState(oracle, _MAX_ARITY[algorithm] if algorithm != "kary_onemax" else k)
+    if spec.k is not None:
+        k = spec.k
+    engine = EngineState(oracle, k or None)
     try:
-        policy(engine.view)
+        spec.policy(engine.view, rng, kind, k)
         success, hit = True, False
     except BudgetExhausted:
         success, hit = False, True
-    return RunRecord(algorithm, class_name, n, k, seed, oracle.query_count, success, hit)
-
-
-_MAX_ARITY = {
-    "binary_onemax": 2,
-    "star_ary_onemax": None,
-    "binary_leadingones": 2,
-    "rls": 1,
-}
+    return RunRecord(name, kind, n, k, seed, oracle.query_count, success, hit)
 
 
 def run_binary_onemax(n: int, oracle: Oracle, rng, *, seed: int = 0) -> RunRecord:
     """Binary pair descent on a OneMax or monotone oracle."""
-    kind = oracle.debug_instance.kind
-    if kind not in ("onemax", "monotone"):
-        raise ValueError(f"binary_onemax needs a onemax or monotone oracle, got {kind}")
-    acceptance_stop = kind == "monotone"
-    return _run(
-        "binary_onemax",
-        kind,
-        n,
-        2,
-        oracle,
-        lambda v: policy_binary_onemax(v, rng, acceptance_stop=acceptance_stop),
-        seed,
-    )
+    return _run("binary_onemax", n, None, oracle, rng, seed)
 
 
 def run_star_ary_onemax(n: int, oracle: Oracle, rng, *, seed: int = 0) -> RunRecord:
-    """Unrestricted-arity sampling on a OneMax oracle; n at most 24."""
-    if oracle.debug_instance.kind != "onemax":
-        raise ValueError("star_ary_onemax needs a onemax oracle")
-    if n > 24:
-        raise ValueError(f"star_ary_onemax enumerates hypotheses, n must be <= 24, got {n}")
-    return _run(
-        "star_ary_onemax", "onemax", n, 0, oracle,
-        lambda v: policy_star_ary_onemax(v, rng), seed,
-    )
+    """Unrestricted-arity sampling on a OneMax oracle; n at most ENUMERATION_DIM_LIMIT."""
+    return _run("star_ary_onemax", n, None, oracle, rng, seed)
 
 
 def run_kary_onemax(n: int, k: int, oracle: Oracle, rng, *, seed: int = 0) -> RunRecord:
     """Block decomposition with k-ary operators on a OneMax oracle."""
-    if oracle.debug_instance.kind != "onemax":
-        raise ValueError("kary_onemax needs a onemax oracle")
-    if not 3 <= k <= 24:
-        raise ValueError(f"kary_onemax requires 3 <= k <= 24, got k={k}")
-    return _run(
-        "kary_onemax", "onemax", n, k, oracle,
-        lambda v: policy_kary_onemax(v, rng, k), seed,
-    )
+    return _run("kary_onemax", n, k, oracle, rng, seed)
 
 
 def run_binary_leadingones(n: int, oracle: Oracle, rng, *, seed: int = 0) -> RunRecord:
     """Critical-pair binary search on a LeadingOnes oracle."""
-    if oracle.debug_instance.kind != "leadingones":
-        raise ValueError("binary_leadingones needs a leadingones oracle")
-    return _run(
-        "binary_leadingones", "leadingones", n, 2, oracle,
-        lambda v: policy_binary_leadingones(v, rng), seed,
-    )
+    return _run("binary_leadingones", n, None, oracle, rng, seed)
 
 
 def run_rls_baseline(n: int, oracle: Oracle, rng, *, seed: int = 0) -> RunRecord:
     """Unary random local search on a OneMax or LeadingOnes oracle."""
-    kind = oracle.debug_instance.kind
-    if kind not in ("onemax", "leadingones"):
-        raise ValueError(f"rls needs a onemax or leadingones oracle, got {kind}")
-    return _run("rls", kind, n, 1, oracle, lambda v: policy_rls(v, rng), seed)
+    return _run("rls", n, None, oracle, rng, seed)

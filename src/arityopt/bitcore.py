@@ -1,4 +1,4 @@
-"""Bit-level primitives: bitstrings, Hamming geometry, permutations, automorphisms.
+"""Bit-level primitives: bitstrings, Hamming distance, position permutations.
 
 A :class:`BitString` of length ``n`` is stored as a Python integer whose bit
 ``i`` (0-based, ``1 << i``) holds the value at position ``i``.  Positions are
@@ -18,12 +18,9 @@ import numpy as np
 __all__ = [
     "BitString",
     "Permutation",
-    "HammingAutomorphism",
     "hamming_distance",
-    "xor",
     "apply_permutation",
     "permute_words",
-    "apply_automorphism",
     "word_unpack",
     "word_pack",
     "differing_positions",
@@ -126,46 +123,11 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True)
-class HammingAutomorphism:
-    """Distance-preserving bijection on {0,1}^n: permute positions, then xor a mask.
-
-    The permute-then-mask order is canonical here; composing the two primitives
-    in either order generates the same group, but certification needs one fixed
-    convention to be reproducible.
-    """
-
-    perm: Permutation
-    mask: BitString
-
-    def __post_init__(self) -> None:
-        if self.perm.size != self.mask.n:
-            raise ValueError(
-                f"size mismatch: perm {self.perm.size} vs mask {self.mask.n}"
-            )
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "HammingAutomorphism":
-        perm = Permutation.random(n, rng)
-        mask = BitString(n, int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1))
-        return cls(perm, mask)
-
-    def inverse(self) -> "HammingAutomorphism":
-        # a(x) = perm(x) ^ m, so a^-1(y) = perm^-1(y) ^ perm^-1(m).
-        inv = self.perm.inverse()
-        return HammingAutomorphism(inv, apply_permutation(inv, self.mask))
-
-
 def hamming_distance(x: BitString, y: BitString) -> int:
     """Number of positions where x and y differ."""
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} != {y.n}")
     return (x.word ^ y.word).bit_count()
-
-
-def xor(x: BitString, y: BitString) -> BitString:
-    """Bitwise exclusive-or of two equal-length bitstrings."""
-    return x ^ y
 
 
 def apply_permutation(sigma: Permutation, x: BitString) -> BitString:
@@ -189,11 +151,6 @@ def permute_words(sigma: Permutation, words: np.ndarray) -> np.ndarray:
     for i, j in enumerate(sigma.mapping):
         out |= ((words >> j) & 1) << i
     return out
-
-
-def apply_automorphism(a: HammingAutomorphism, x: BitString) -> BitString:
-    """Apply the permutation, then xor the mask."""
-    return apply_permutation(a.perm, x) ^ a.mask
 
 
 def word_unpack(word: int, n: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS
 from .bounds import check_proposition1
+from .consistency import ENUMERATION_DIM_LIMIT
 from .harness import (
     FIT_MODELS,
     ConfigError,
@@ -29,12 +30,13 @@ from .harness import (
     fit_curve,
     read_runs_csv,
     run_experiment,
+    seed_trial,
     summarize,
     summary_csv_text,
     write_report_json,
     write_summary_csv,
 )
-from .problems import INSTANCE_CLASSES, random_instance
+from .problems import INSTANCE_CLASSES
 from .unbiasedness import (
     NEGATIVE_CONTROL_NAME,
     SHIPPED_OPERATOR_FAMILIES,
@@ -70,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--class", dest="class_name", required=True, choices=INSTANCE_CLASSES)
     run.add_argument("--n", dest="n_values", action="append", type=int, required=True,
                      metavar="N", help="problem size; repeat for several sizes")
-    run.add_argument("--k", type=int, default=None, help="arity for kary_onemax (3..24)")
+    run.add_argument("--k", type=int, default=None,
+                     help=f"arity for kary_onemax (3..{ENUMERATION_DIM_LIMIT});"
+                          " rejected for other algorithms")
     run.add_argument("--trials", type=int, default=100)
     run.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed + i")
     run.add_argument("--budget", type=int, default=None,
@@ -111,8 +115,7 @@ def _g9(v: float) -> str:
 def _instances_payload(records) -> list[dict]:
     out = []
     for i, r in enumerate(records):
-        inst_ss, _ = np.random.SeedSequence(r.seed).spawn(2)
-        inst = random_instance(r.class_name, r.n, inst_ss)
+        inst, _ = seed_trial(r.class_name, r.n, r.seed)
         entry: dict = {"run_id": i, "class": r.class_name, "n": r.n, "seed": r.seed}
         if r.class_name == "onemax":
             entry["z"] = inst.z.to_string()

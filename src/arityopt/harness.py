@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algorithms import (
+from .algorithms import (  # noqa: F401  (_trial calls run_* by name)
     ALGORITHMS,
     RunRecord,
     default_budget,
@@ -42,6 +42,7 @@ __all__ = [
     "ExperimentConfig",
     "SummaryRow",
     "run_experiment",
+    "seed_trial",
     "pool_size",
     "summarize",
     "fit_curve",
@@ -63,15 +64,6 @@ SUMMARY_HEADER = (
 )
 
 FIT_MODELS = ("a_n", "a_nlogn", "a_n_over_logk")
-
-_VALID_CLASSES = {
-    "binary_onemax": ("onemax", "monotone"),
-    "star_ary_onemax": ("onemax",),
-    "kary_onemax": ("onemax",),
-    "binary_leadingones": ("leadingones",),
-    "rls": ("onemax", "leadingones"),
-}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration, detected before any run starts."""
@@ -96,26 +88,22 @@ class ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}, expected one of {ALGORITHMS}")
+        raise ConfigError(
+            f"unknown algorithm {cfg.algorithm!r}, expected one of {tuple(ALGORITHMS)}"
+        )
     if cfg.class_name not in INSTANCE_CLASSES:
         raise ConfigError(
             f"unknown class {cfg.class_name!r}, expected one of {INSTANCE_CLASSES}"
-        )
-    if cfg.class_name not in _VALID_CLASSES[cfg.algorithm]:
-        raise ConfigError(
-            f"{cfg.algorithm} does not run on class {cfg.class_name};"
-            f" valid classes: {_VALID_CLASSES[cfg.algorithm]}"
         )
     if not cfg.n_values:
         raise ConfigError("at least one n value is required")
     for n in cfg.n_values:
         if n < 1:
             raise ConfigError(f"n must be positive, got {n}")
-    if cfg.algorithm == "star_ary_onemax" and max(cfg.n_values) > 24:
-        raise ConfigError("star_ary_onemax requires n <= 24")
-    if cfg.algorithm == "kary_onemax":
-        if cfg.k is None or not 3 <= cfg.k <= 24:
-            raise ConfigError(f"kary_onemax requires 3 <= k <= 24, got k={cfg.k}")
+    try:
+        ALGORITHMS[cfg.algorithm].check(cfg.class_name, max(cfg.n_values), cfg.k)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if cfg.trials < 1:
         raise ConfigError(f"trials must be positive, got {cfg.trials}")
     if cfg.budget is not None and cfg.budget < 1:
@@ -124,21 +112,25 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"workers must be positive, got {cfg.workers}")
 
 
+def seed_trial(class_name: str, n: int, seed: int):
+    """A trial's hidden instance and algorithm generator: ``seed`` is split
+    into an instance stream and an algorithm stream."""
+    inst_ss, alg_ss = np.random.SeedSequence(seed).spawn(2)
+    return random_instance(class_name, n, inst_ss), np.random.default_rng(alg_ss)
+
+
 def _trial(args) -> RunRecord:
     algorithm, class_name, n, k, seed, budget = args
     try:
-        inst_ss, alg_ss = np.random.SeedSequence(seed).spawn(2)
-        oracle = Oracle(random_instance(class_name, n, inst_ss), budget)
-        rng = np.random.default_rng(alg_ss)
-        if algorithm == "binary_onemax":
-            return run_binary_onemax(n, oracle, rng, seed=seed)
-        if algorithm == "star_ary_onemax":
-            return run_star_ary_onemax(n, oracle, rng, seed=seed)
-        if algorithm == "kary_onemax":
-            return run_kary_onemax(n, k, oracle, rng, seed=seed)
-        if algorithm == "binary_leadingones":
-            return run_binary_leadingones(n, oracle, rng, seed=seed)
-        return run_rls_baseline(n, oracle, rng, seed=seed)
+        instance, rng = seed_trial(class_name, n, seed)
+        oracle = Oracle(instance, budget)
+        spec = ALGORITHMS[algorithm]
+        # Looked up in this module's globals at call time, so that a wrapper
+        # set on harness.run_* (a tracer, a test) sees every run.
+        runner = globals()[spec.runner]
+        if spec.k is None:
+            return runner(n, k, oracle, rng, seed=seed)
+        return runner(n, oracle, rng, seed=seed)
     except Exception as exc:
         raise TrialFailed(
             f"trial {algorithm} on {class_name} n={n} seed={seed} failed:"
@@ -198,17 +190,8 @@ class SummaryRow:
     ratio: float | None
 
 
-_THEORY_MODEL = {
-    "binary_onemax": "linear_2n",
-    "star_ary_onemax": "star_ary",
-    "kary_onemax": "n_over_logk",
-    "binary_leadingones": "nlogn",
-    "rls": None,
-}
-
-
 def _theory_for(algorithm: str, n: int, k: int) -> float | None:
-    model = _THEORY_MODEL[algorithm]
+    model = ALGORITHMS[algorithm].theory_model
     if model is None:
         return None
     return theory_curve(model, n, k if model == "n_over_logk" else None)
@@ -269,6 +252,8 @@ def fit_curve(records: list[RunRecord], model: str) -> tuple[float, float]:
         if model == "a_n":
             g = float(n)
         elif model == "a_nlogn":
+            if n < 2:
+                raise ValueError(f"a_nlogn needs n >= 2 in records, got n={n}")
             g = n * math.log2(n)
         else:
             if k < 2:

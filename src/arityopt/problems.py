@@ -31,10 +31,6 @@ __all__ = [
     "LeadingOnesInstance",
     "MonotoneInstance",
     "Oracle",
-    "evaluate_onemax",
-    "evaluate_leadingones",
-    "evaluate_monotone",
-    "oracle_query",
     "random_instance",
     "INSTANCE_CLASSES",
 ]
@@ -236,23 +232,6 @@ class Oracle:
         if x.n != self.n:
             raise ValueError(f"length mismatch: {x.n} != {self.n}")
         return self._query_word(x.word)
-
-
-def evaluate_onemax(inst: OneMaxInstance, x: BitString) -> int:
-    return inst.evaluate(x)
-
-
-def evaluate_leadingones(inst: LeadingOnesInstance, x: BitString) -> int:
-    return inst.evaluate(x)
-
-
-def evaluate_monotone(inst: MonotoneInstance, x: BitString) -> float:
-    return inst.evaluate(x)
-
-
-def oracle_query(o: Oracle, x: BitString):
-    """Evaluate x through the oracle, paying one query."""
-    return o.query(x)
 
 
 def random_instance(class_name: str, n: int, seed):

@@ -96,7 +96,7 @@ class TestEngine:
     def test_view_hides_engine_internals(self):
         e = EngineState(Oracle(OneMaxInstance(bs("1010"))), max_arity=2)
         view = e.view
-        for attr in ("oracle", "debug_point", "_points", "audit"):
+        for attr in ("oracle", "debug_point", "_points", "audit", "fitnesses"):
             assert not hasattr(view, attr)
         with pytest.raises(AttributeError):
             view.extra = 1

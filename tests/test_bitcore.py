@@ -1,4 +1,4 @@
-"""Bit strings, permutations, and Hamming automorphisms."""
+"""Bit strings, Hamming distance, and permutations."""
 
 from __future__ import annotations
 
@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from arityopt.bitcore import (
     BitString,
-    HammingAutomorphism,
     Permutation,
-    apply_automorphism,
     apply_permutation,
     differing_positions,
     hamming_distance,
     nth_set_bit,
     word_pack,
     word_unpack,
-    xor,
 )
 
 
@@ -69,7 +66,6 @@ class TestHammingDistance:
         assert hamming_distance(bs("1010"), bs("0011")) == 2
 
     def test_xor_value(self):
-        assert xor(bs("1010"), bs("0011")) == bs("1001")
         assert bs("1010") ^ bs("0011") == bs("1001")
 
     def test_length_mismatch(self):
@@ -127,39 +123,6 @@ class TestPermutation:
 
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > 1e-3
-
-
-class TestHammingAutomorphism:
-    def test_mask_only(self):
-        a = HammingAutomorphism(Permutation.identity(3), bs("111"))
-        assert apply_automorphism(a, bs("010")) == bs("101")
-
-    def test_permute_then_mask(self):
-        # permute first, then XOR the mask
-        a = HammingAutomorphism(Permutation.from_one_based((2, 1)), bs("10"))
-        assert apply_automorphism(a, bs("10")) == bs("11")
-
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 9):
-            a = HammingAutomorphism.random(n, rng)
-            inv = a.inverse()
-            for _ in range(50):
-                w = int(rng.integers(1 << n))
-                x = BitString(n, w)
-                assert apply_automorphism(inv, apply_automorphism(a, x)) == x
-
-    def test_preserves_distance(self):
-        rng = np.random.default_rng(17)
-        for n in (8, 16, 64):
-            for _ in range(200):
-                a = HammingAutomorphism.random(n, rng)
-                wx = int.from_bytes(rng.bytes(8), "little") & ((1 << n) - 1)
-                wy = int.from_bytes(rng.bytes(8), "little") & ((1 << n) - 1)
-                x, y = BitString(n, wx), BitString(n, wy)
-                assert hamming_distance(
-                    apply_automorphism(a, x), apply_automorphism(a, y)
-                ) == hamming_distance(x, y)
 
 
 class TestWordHelpers:

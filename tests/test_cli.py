@@ -98,6 +98,15 @@ class TestRun:
         assert proc.returncode == 1
         assert "configuration error" in proc.stderr
 
+    def test_k_for_fixed_arity_algorithm_exits_1(self):
+        proc = run_cli(
+            "run", "--algorithm", "binary_onemax", "--class", "onemax",
+            "--n", "8", "--k", "7", "--trials", "1",
+        )
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert proc.stdout == ""
+
     def test_unknown_flag_exits_1(self):
         proc = run_cli("run", "--algorithm", "rls", "--frobnicate")
         assert proc.returncode == 1

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import math
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arityopt import harness
-from arityopt.algorithms import RunRecord
+from arityopt.algorithms import ALGORITHMS, RunRecord
 from arityopt.harness import (
     RUNS_HEADER,
     SUMMARY_HEADER,
@@ -55,6 +57,19 @@ def synthetic_records(groups, algorithm="binary_onemax", class_name="onemax", k=
     return records
 
 
+# Seeded query counts: algorithm, class, n values, k, base seed, total
+# queries over 20 trials per n, and the first five runs' counts.
+PINNED_COUNTS = [
+    ("binary_leadingones", "leadingones", (32, 64), None, 505, 42488, [603, 573, 589, 665, 681]),
+    ("rls", "leadingones", (32, 64), None, 606, 48866, [495, 913, 770, 330, 371]),
+    ("binary_onemax", "onemax", (32, 64), None, 101, 3808, [63, 58, 67, 61, 62]),
+    ("binary_onemax", "monotone", (32, 64), None, 202, 3933, [61, 70, 68, 79, 56]),
+    ("star_ary_onemax", "onemax", (8, 16), None, 303, 845, [18, 18, 18, 18, 18]),
+    ("kary_onemax", "onemax", (60,), 4, 404, 2314, [106, 124, 112, 115, 124]),
+    ("rls", "onemax", (32, 64), None, 707, 7299, [98, 65, 150, 118, 119]),
+]
+
+
 class TestValidateConfig:
     def test_valid_passes(self):
         validate_config(cfg())
@@ -77,6 +92,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(cfg(algorithm="kary_onemax"))
         validate_config(cfg(algorithm="kary_onemax", k=4))
+
+    def test_fixed_arity_rejects_k(self):
+        for algorithm, class_name in (
+            ("binary_onemax", "onemax"), ("star_ary_onemax", "onemax"),
+            ("binary_leadingones", "leadingones"), ("rls", "leadingones"),
+        ):
+            with pytest.raises(ConfigError, match="only kary_onemax takes k"):
+                validate_config(cfg(algorithm=algorithm, class_name=class_name, n_values=(8,), k=7))
+        with pytest.raises(ConfigError):
+            validate_config(cfg(k=2))
 
     def test_star_ary_size_limit(self):
         with pytest.raises(ConfigError):
@@ -143,23 +168,58 @@ class TestRunExperiment:
         assert all(r.hit_budget and r.queries == 3 for r in records)
 
     @pytest.mark.parametrize(
-        "algorithm, base_seed, total, first_five",
-        [
-            ("binary_leadingones", 505, 42488, [603, 573, 589, 665, 681]),
-            ("rls", 606, 48866, [495, 913, 770, 330, 371]),
-        ],
+        "algorithm, class_name, n_values, k, base_seed, total, first_five",
+        PINNED_COUNTS,
+        # ids name a row by algorithm, seed, total and row index, as they did
+        # when the table held only the two leadingones rows
+        ids=[f"{r[0]}-{r[4]}-{r[5]}-first_five{i}" for i, r in enumerate(PINNED_COUNTS)],
     )
-    def test_seeded_query_counts_are_pinned(self, algorithm, base_seed, total, first_five):
-        # Recorded from the engine before its bookkeeping was reworked: how
-        # the engine stores queried points must not change any operator draw,
-        # and so any seeded query count.
+    def test_seeded_query_counts_are_pinned(
+        self, algorithm, class_name, n_values, k, base_seed, total, first_five
+    ):
+        # Recorded before the engine's bookkeeping and the algorithm registry
+        # were reworked: neither may change any operator draw, and so any
+        # seeded query count.
         records = run_experiment(cfg(
-            algorithm=algorithm, class_name="leadingones",
-            n_values=(32, 64), trials=20, base_seed=base_seed,
+            algorithm=algorithm, class_name=class_name,
+            n_values=n_values, k=k, trials=20, base_seed=base_seed,
         ))
         assert all(r.success for r in records)
         assert sum(r.queries for r in records) == total
         assert [r.queries for r in records[:5]] == first_five
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded as it is from the file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerBoundaries:
+    def test_every_run_crosses_the_traced_boundaries(self):
+        # The benchmark's tracer wraps harness.run_* and
+        # harness.random_instance; a harness that reached them any other way
+        # would read 0 runs and 0 instances without an error.
+        configs = [
+            cfg(algorithm=name, class_name=class_name, n_values=(6,), trials=2,
+                k=4 if spec.k is None else None)
+            for name, spec in ALGORITHMS.items()
+            for class_name in spec.classes
+        ]
+        tracer = load_tracing().Tracer()
+        tracer.install()
+        try:
+            runs = sum(len(harness.run_experiment(c)) for c in configs)
+        finally:
+            tracer.restore()
+        assert runs == 2 * len(configs) == 14
+        assert tracer.stats["algorithms.policy"][0] == runs
+        assert tracer.stats["problems.random_instance"][0] == runs
+        assert tracer.stats["harness"][0] == len(configs)
+        assert harness.run_rls_baseline.__module__ == "arityopt.algorithms"
 
 
 class TestSummarize:
@@ -238,6 +298,12 @@ class TestFitCurve:
         a, residual = fit_curve(records, "a_n_over_logk")
         assert a == pytest.approx(5.0, rel=0.01)
         assert residual < 0.01
+
+    def test_nlogn_rejects_n1_group(self):
+        # n = 1 gives g = n log2 n = 0, which no coefficient can fit
+        records = synthetic_records([(1, [1]), (8, [24]), (16, [64])])
+        with pytest.raises(ValueError, match="n=1"):
+            fit_curve(records, "a_nlogn")
 
     def test_needs_three_groups(self):
         records = synthetic_records([(10, [20]), (20, [40])])

@@ -13,10 +13,6 @@ from arityopt.problems import (
     MonotoneInstance,
     OneMaxInstance,
     Oracle,
-    evaluate_leadingones,
-    evaluate_monotone,
-    evaluate_onemax,
-    oracle_query,
     random_instance,
 )
 
@@ -30,7 +26,7 @@ def bs(s: str) -> BitString:
 class TestOneMax:
     def test_known_value(self):
         inst = OneMaxInstance(bs("1011"))
-        assert evaluate_onemax(inst, bs("1001")) == 3
+        assert inst.evaluate(bs("1001")) == 3
 
     def test_optimum(self):
         inst = OneMaxInstance(bs("0110"))
@@ -54,10 +50,10 @@ class TestLeadingOnes:
     def test_prefix_order_follows_sigma(self):
         # one-based sigma (3, 1, 2): slot 1 checks position 3 first
         inst = LeadingOnesInstance(bs("111"), Permutation.from_one_based((3, 1, 2)))
-        assert evaluate_leadingones(inst, bs("110")) == 0
-        assert evaluate_leadingones(inst, bs("011")) == 1
-        assert evaluate_leadingones(inst, bs("101")) == 2
-        assert evaluate_leadingones(inst, bs("111")) == 3
+        assert inst.evaluate(bs("110")) == 0
+        assert inst.evaluate(bs("011")) == 1
+        assert inst.evaluate(bs("101")) == 2
+        assert inst.evaluate(bs("111")) == 3
 
     def test_identity_sigma_counts_agreeing_prefix(self):
         inst = LeadingOnesInstance(bs("1100"), Permutation.identity(4))
@@ -104,9 +100,9 @@ class TestLeadingOnes:
 class TestMonotone:
     def test_value_is_weight_sum_on_agreement(self):
         inst = MonotoneInstance(bs("101"), (0.5, 0.25, 1.0))
-        assert evaluate_monotone(inst, bs("101")) == pytest.approx(1.75)
-        assert evaluate_monotone(inst, bs("001")) == pytest.approx(1.25)
-        assert evaluate_monotone(inst, bs("010")) == pytest.approx(0.0)
+        assert inst.evaluate(bs("101")) == pytest.approx(1.75)
+        assert inst.evaluate(bs("001")) == pytest.approx(1.25)
+        assert inst.evaluate(bs("010")) == pytest.approx(0.0)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
@@ -142,30 +138,30 @@ class TestOracle:
     def test_counts_queries(self):
         o = Oracle(OneMaxInstance(bs("1010")))
         assert o.query_count == 0
-        oracle_query(o, bs("1111"))
-        oracle_query(o, bs("0000"))
+        o.query(bs("1111"))
+        o.query(bs("0000"))
         assert o.query_count == 2
 
     def test_no_memoization(self):
         # cost model charges every query, repeated points included
         o = Oracle(OneMaxInstance(bs("1010")))
         x = bs("1111")
-        oracle_query(o, x)
-        oracle_query(o, x)
+        o.query(x)
+        o.query(x)
         assert o.query_count == 2
 
     def test_history_in_order(self):
         o = Oracle(OneMaxInstance(bs("110")))
-        oracle_query(o, bs("000"))
-        oracle_query(o, bs("110"))
+        o.query(bs("000"))
+        o.query(bs("110"))
         assert o.history == [(bs("000"), 1), (bs("110"), 3)]
 
     def test_budget_exhaustion(self):
         o = Oracle(OneMaxInstance(bs("1010")), budget=2)
-        oracle_query(o, bs("0000"))
-        oracle_query(o, bs("0001"))
+        o.query(bs("0000"))
+        o.query(bs("0001"))
         with pytest.raises(BudgetExhausted) as err:
-            oracle_query(o, bs("0011"))
+            o.query(bs("0011"))
         assert err.value.queries == 2
         assert o.query_count == 2
 
@@ -176,7 +172,7 @@ class TestOracle:
     def test_rejects_wrong_length(self):
         o = Oracle(OneMaxInstance(bs("1010")))
         with pytest.raises(ValueError):
-            oracle_query(o, bs("10"))
+            o.query(bs("10"))
 
 
 class TestRandomInstance:
