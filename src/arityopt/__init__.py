@@ -1,8 +1,8 @@
 """Unbiased variation operators and query-complexity experiments on bit strings.
 
-Subpackage map: ``bitcore`` (bit strings, Hamming distance, permutations),
+Subpackage map: ``bitcore`` (bit strings, permutations, word helpers),
 ``problems`` (instance classes and the query-counting oracle),
-``operators`` (operator ids, samplers, exact pmfs), ``consistency``
+``operators`` (the operator table, operator ids, exact pmfs), ``consistency``
 (consistent-set enumeration and samplers), ``algorithms`` (the algorithm
 registry, search policies and the arity-enforcing engine),
 ``unbiasedness`` (invariance certification), ``bounds`` (round counts,

@@ -1,9 +1,10 @@
-"""Bit-level primitives: bitstrings, Hamming distance, position permutations.
+"""Bit-level primitives: bitstrings, position permutations, word helpers.
 
 A :class:`BitString` of length ``n`` is stored as a Python integer whose bit
 ``i`` (0-based, ``1 << i``) holds the value at position ``i``.  Positions are
 0-based internally and in all serialized formats; the ASCII form puts position
-0 leftmost.  Integers keep xor and popcount at O(n / wordsize) per operation.
+0 leftmost.  Integers keep xor and popcount at O(n / wordsize) per operation;
+the Hamming distance of two bitstrings is ``(x ^ y).popcount()``.
 A run's cost in memory is another matter: the oracle keeps every queried word
 for the life of the run, about n**2 / 4 bytes per ``binary_onemax`` run, which
 is about 1 GB at n = 65,536.
@@ -18,11 +19,10 @@ import numpy as np
 __all__ = [
     "BitString",
     "Permutation",
-    "hamming_distance",
     "apply_permutation",
     "permute_words",
+    "random_word",
     "word_unpack",
-    "word_pack",
     "differing_positions",
     "nth_set_bit",
 ]
@@ -100,34 +100,12 @@ class Permutation:
             raise ValueError("mapping is not a bijection on 0..n-1")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def from_one_based(cls, seq) -> "Permutation":
-        """Build from the 1-based convention used in written definitions."""
-        return cls(tuple(int(j) - 1 for j in seq))
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
         return cls(tuple(int(j) for j in rng.permutation(n)))
 
     @property
     def size(self) -> int:
         return len(self.mapping)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-
-def hamming_distance(x: BitString, y: BitString) -> int:
-    """Number of positions where x and y differ."""
-    if x.n != y.n:
-        raise ValueError(f"length mismatch: {x.n} != {y.n}")
-    return (x.word ^ y.word).bit_count()
 
 
 def apply_permutation(sigma: Permutation, x: BitString) -> BitString:
@@ -161,10 +139,9 @@ def word_unpack(word: int, n: int) -> np.ndarray:
     ).view(bool)
 
 
-def word_pack(bits: np.ndarray) -> int:
-    """Inverse of :func:`word_unpack`."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def random_word(n: int, rng: np.random.Generator) -> int:
+    """Uniform n-bit word from ``(n + 7) // 8`` bytes of ``rng.bytes``."""
+    return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
 
 
 def differing_positions(wx: int, wy: int, n: int) -> np.ndarray:

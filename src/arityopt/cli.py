@@ -28,6 +28,7 @@ from .harness import (
     ExperimentConfig,
     emit_report,
     fit_curve,
+    output_stem,
     read_runs_csv,
     run_experiment,
     seed_trial,
@@ -146,7 +147,7 @@ def _cmd_run(args) -> int:
     if args.out:
         paths = emit_report(records, summaries, {}, args.out)
         if args.debug_instances:
-            inst_path = paths["report"][: -len(".report.json")] + ".instances.json"
+            inst_path = output_stem(args.out) + ".instances.json"
             with open(inst_path, "w") as fh:
                 json.dump(_instances_payload(records), fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -222,10 +223,9 @@ def _cmd_fit(args) -> int:
 def _cmd_report(args) -> int:
     records = read_runs_csv(args.input)
     summaries = summarize(records)
-    base = args.out[:-4] if args.out.endswith(".csv") else args.out
     write_summary_csv(summaries, args.out)
     print(f"wrote {args.out}")
-    json_path = base + ".report.json"
+    json_path = output_stem(args.out) + ".report.json"
     write_report_json(summaries, {}, json_path)
     print(f"wrote {json_path}")
     return EXIT_OK

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitString, differing_positions
+from .bitcore import BitString, differing_positions, random_word
 
 __all__ = [
     "ExactEnumerationUnavailable",
     "ConsistencyQuery",
     "consistent_set",
     "choose_consistent",
-    "choose_consistent_sub",
     "ENUMERATION_DIM_LIMIT",
 ]
 
@@ -158,7 +157,7 @@ def choose_consistent_word(
     """
     survivors = consistent_words(dim, point_words, values)
     if survivors.size == 0:
-        word = int.from_bytes(rng.bytes((dim + 7) // 8), "little") & ((1 << dim) - 1)
+        word = random_word(dim, rng)
         return word, word
     idx = int(rng.integers(survivors.size))
     return int(survivors[idx]), idx
@@ -242,31 +241,3 @@ def choose_consistent_sub_word(
     small, draw = choose_consistent_word(len(block), projected, values, rng) if block else (0, 0)
     return outside | embed_word(small, block, 0), draw, block
 
-
-def choose_consistent_sub(
-    block: tuple[int, ...] | frozenset,
-    history: list[tuple[BitString, int]],
-    anchor_pair: tuple[BitString, BitString],
-    rng: np.random.Generator,
-) -> BitString:
-    """Uniform block-level consistent draw embedded in the anchors' suffix.
-
-    ``block`` must be exactly the positions where the two anchors differ;
-    ``history`` pairs each observed point with its block-level agreement
-    count (any shared offset already subtracted by the caller).
-    """
-    a_lo, a_hi = anchor_pair
-    if a_lo.n != a_hi.n:
-        raise ValueError(f"length mismatch: {a_lo.n} != {a_hi.n}")
-    actual = tuple(int(p) for p in differing_positions(a_lo.word, a_hi.word, a_lo.n))
-    if tuple(sorted(block)) != actual:
-        raise ValueError("block is not the set of positions where the anchors differ")
-    word, _, _ = choose_consistent_sub_word(
-        a_lo.n,
-        [p.word for p, _ in history],
-        [u for _, u in history],
-        a_lo.word,
-        a_hi.word,
-        rng,
-    )
-    return BitString(a_lo.n, word)

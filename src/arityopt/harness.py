@@ -52,6 +52,7 @@ __all__ = [
     "summary_csv_text",
     "write_report_json",
     "read_runs_csv",
+    "output_stem",
     "RUNS_HEADER",
     "SUMMARY_HEADER",
     "FIT_MODELS",
@@ -313,24 +314,40 @@ def summary_csv_text(rows: list[SummaryRow]) -> str:
 
 
 def read_runs_csv(path: str) -> list[RunRecord]:
+    """Records of a runs CSV.  A wrong header, an algorithm or class that no
+    run can have, or a non-integer n, k, seed or queries is a ConfigError
+    that names the file and the line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RUNS_HEADER.split(","):
-            raise ValueError(f"unexpected runs CSV header in {path}")
+            raise ConfigError(f"unexpected runs CSV header in {path}")
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if row["algorithm"] not in ALGORITHMS:
+                raise ConfigError(f"{where}: unknown algorithm {row['algorithm']!r}")
+            if row["class"] not in INSTANCE_CLASSES:
+                raise ConfigError(f"{where}: unknown class {row['class']!r}")
+            try:
+                n, k, seed, queries = (int(row[c]) for c in ("n", "k", "seed", "queries"))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: n, k, seed and queries must be integers") from None
             records.append(
                 RunRecord(
-                    row["algorithm"], row["class"], int(row["n"]), int(row["k"]),
-                    int(row["seed"]), int(row["queries"]),
+                    row["algorithm"], row["class"], n, k, seed, queries,
                     row["success"] == "true", row["hit_budget"] == "true",
                 )
             )
     return records
 
 
+def output_stem(path: str) -> str:
+    """``path`` without a trailing ``.csv``: the stem of the files written beside it."""
+    return path[:-4] if path.endswith(".csv") else path
+
+
 def _report_paths(path: str) -> tuple[str, str, str]:
-    base = path[:-4] if path.endswith(".csv") else path
+    base = output_stem(path)
     return path, base + ".summary.csv", base + ".report.json"
 
 

@@ -9,9 +9,11 @@ output word, which the certifier pushes through xor shifts and permutations
 by index arrays.  ``exact_pmf`` is the same pmf as an ``OutputDistribution``
 over ``BitString`` outputs, built from the vector's nonzero entries.
 
-The word-level kernels (``sample_operator``) are the hot path shared with the
-run engine; the bitstring-level functions are thin validated wrappers around
-them.
+The word-level kernels are the only definition of what an operator samples.
+``OPERATORS`` maps each family name to its kernel and its fixed arity, and
+``OperatorId``, ``sample_operator`` (the hot path shared with the run engine
+and the statistical certifier) and the deterministic branch of ``pmf_vector``
+all read that one table.
 """
 
 from __future__ import annotations
@@ -33,15 +35,7 @@ from .consistency import (
 __all__ = [
     "OperatorId",
     "OutputDistribution",
-    "OPERATOR_NAMES",
-    "uniform_sample",
-    "complement_op",
-    "flip_one_where_different",
-    "flip_k_where_different",
-    "random_where_different",
-    "update_op",
-    "switch_if_distance_one",
-    "flip_one_uniform",
+    "OPERATORS",
     "sample_operator",
     "exact_pmf",
     "pmf_vector",
@@ -59,85 +53,6 @@ __all__ = [
 ]
 
 EXACT_PMF_LIMIT = 16
-
-# Fixed-arity operator names; the three parameterized families are handled
-# separately because their arity depends on params.
-_FIXED_ARITY = {
-    "uniformSample": 0,
-    "complement": 1,
-    "flipOneWhereDifferent": 2,
-    "randomWhereDifferent": 2,
-    "update": 3,
-    "switchIfDistanceOne": 2,
-    "flipOneUniform": 1,
-}
-
-OPERATOR_NAMES = tuple(_FIXED_ARITY) + (
-    "flipKWhereDifferent",
-    "chooseConsistent",
-    "chooseConsistentSub",
-)
-
-
-@dataclass(frozen=True)
-class OperatorId:
-    """Identity of one variation operator: name, arity, optional int params.
-
-    params meaning by family: (ell,) for flipKWhereDifferent; the tuple of
-    target agreement values for chooseConsistent (arity = number of values);
-    the tuple of block-level values for chooseConsistentSub (arity = number
-    of values + 2 anchors).
-    """
-
-    name: str
-    arity: int
-    params: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.name in _FIXED_ARITY:
-            want = _FIXED_ARITY[self.name]
-            if self.arity != want:
-                raise ValueError(f"{self.name} has arity {want}, got {self.arity}")
-            if self.params is not None:
-                raise ValueError(f"{self.name} takes no params")
-        elif self.name == "flipKWhereDifferent":
-            if self.arity != 2:
-                raise ValueError(f"flipKWhereDifferent has arity 2, got {self.arity}")
-            if self.params is None or len(self.params) != 1 or self.params[0] < 0:
-                raise ValueError("flipKWhereDifferent needs params (ell,) with ell >= 0")
-        elif self.name == "chooseConsistent":
-            if self.params is None or self.arity != len(self.params):
-                raise ValueError("chooseConsistent arity must equal the number of values")
-        elif self.name == "chooseConsistentSub":
-            if self.params is None or self.arity != len(self.params) + 2:
-                raise ValueError(
-                    "chooseConsistentSub arity must be number of values + 2 anchors"
-                )
-        else:
-            raise ValueError(f"unknown operator name {self.name!r}")
-
-
-UNIFORM_SAMPLE = OperatorId("uniformSample", 0)
-COMPLEMENT = OperatorId("complement", 1)
-FLIP_ONE_WHERE_DIFFERENT = OperatorId("flipOneWhereDifferent", 2)
-RANDOM_WHERE_DIFFERENT = OperatorId("randomWhereDifferent", 2)
-UPDATE = OperatorId("update", 3)
-SWITCH_IF_DISTANCE_ONE = OperatorId("switchIfDistanceOne", 2)
-FLIP_ONE_UNIFORM = OperatorId("flipOneUniform", 1)
-
-
-def flip_k_id(ell: int) -> OperatorId:
-    return OperatorId("flipKWhereDifferent", 2, (int(ell),))
-
-
-def choose_consistent_id(values) -> OperatorId:
-    vals = tuple(int(u) for u in values)
-    return OperatorId("chooseConsistent", len(vals), vals)
-
-
-def choose_consistent_sub_id(values) -> OperatorId:
-    vals = tuple(int(u) for u in values)
-    return OperatorId("chooseConsistentSub", len(vals) + 2, vals)
 
 
 def _check_probabilities(values: list[float]) -> None:
@@ -160,10 +75,6 @@ class OutputDistribution:
 
     def prob(self, x: BitString) -> float:
         return self.support.get(x, 0.0)
-
-    def max_deviation(self, other: "OutputDistribution") -> float:
-        keys = self.support.keys() | other.support.keys()
-        return max(abs(self.prob(k) - other.prob(k)) for k in keys)
 
 
 def _rand_word(n: int, rng: np.random.Generator) -> int:
@@ -240,8 +151,7 @@ def _k_flip_one_uniform(words, n, params, rng):
 
 
 def _k_choose_consistent(words, n, params, rng):
-    word, draw = choose_consistent_word(n, words, params, rng)
-    return word, draw
+    return choose_consistent_word(n, words, params, rng)
 
 
 def _k_choose_consistent_sub(words, n, params, rng):
@@ -251,25 +161,87 @@ def _k_choose_consistent_sub(words, n, params, rng):
     return word, draw
 
 
-_KERNELS = {
-    "uniformSample": _k_uniform,
-    "complement": _k_complement,
-    "flipOneWhereDifferent": _k_flip_one,
-    "flipKWhereDifferent": _k_flip_k,
-    "randomWhereDifferent": _k_rwd,
-    "update": _k_update,
-    "switchIfDistanceOne": _k_switch,
-    "flipOneUniform": _k_flip_one_uniform,
-    "chooseConsistent": _k_choose_consistent,
-    "chooseConsistentSub": _k_choose_consistent_sub,
+# The operator table: family name -> (kernel, fixed arity).  The arity is
+# None where it follows from the params: flipKWhereDifferent takes (ell,) on
+# two parents, chooseConsistent one parent per value, and
+# chooseConsistentSub one per value plus two anchors.
+OPERATORS = {
+    "uniformSample": (_k_uniform, 0),
+    "complement": (_k_complement, 1),
+    "flipOneWhereDifferent": (_k_flip_one, 2),
+    "flipKWhereDifferent": (_k_flip_k, None),
+    "randomWhereDifferent": (_k_rwd, 2),
+    "update": (_k_update, 3),
+    "switchIfDistanceOne": (_k_switch, 2),
+    "flipOneUniform": (_k_flip_one_uniform, 1),
+    "chooseConsistent": (_k_choose_consistent, None),
+    "chooseConsistentSub": (_k_choose_consistent_sub, None),
 }
+
+
+@dataclass(frozen=True)
+class OperatorId:
+    """Identity of one variation operator: name, arity, optional int params.
+
+    params meaning by family: (ell,) for flipKWhereDifferent; the tuple of
+    target agreement values for chooseConsistent (arity = number of values);
+    the tuple of block-level values for chooseConsistentSub (arity = number
+    of values + 2 anchors).
+    """
+
+    name: str
+    arity: int
+    params: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.name not in OPERATORS:
+            raise ValueError(f"unknown operator name {self.name!r}")
+        want = OPERATORS[self.name][1]
+        if want is not None:
+            if self.arity != want:
+                raise ValueError(f"{self.name} has arity {want}, got {self.arity}")
+            if self.params is not None:
+                raise ValueError(f"{self.name} takes no params")
+        elif self.name == "flipKWhereDifferent":
+            if self.arity != 2:
+                raise ValueError(f"flipKWhereDifferent has arity 2, got {self.arity}")
+            if self.params is None or len(self.params) != 1 or self.params[0] < 0:
+                raise ValueError("flipKWhereDifferent needs params (ell,) with ell >= 0")
+        elif self.name == "chooseConsistent":
+            if self.params is None or self.arity != len(self.params):
+                raise ValueError("chooseConsistent arity must equal the number of values")
+        elif self.params is None or self.arity != len(self.params) + 2:
+            raise ValueError("chooseConsistentSub arity must be number of values + 2 anchors")
+
+
+UNIFORM_SAMPLE = OperatorId("uniformSample", 0)
+COMPLEMENT = OperatorId("complement", 1)
+FLIP_ONE_WHERE_DIFFERENT = OperatorId("flipOneWhereDifferent", 2)
+RANDOM_WHERE_DIFFERENT = OperatorId("randomWhereDifferent", 2)
+UPDATE = OperatorId("update", 3)
+SWITCH_IF_DISTANCE_ONE = OperatorId("switchIfDistanceOne", 2)
+FLIP_ONE_UNIFORM = OperatorId("flipOneUniform", 1)
+
+
+def flip_k_id(ell: int) -> OperatorId:
+    return OperatorId("flipKWhereDifferent", 2, (int(ell),))
+
+
+def choose_consistent_id(values) -> OperatorId:
+    vals = tuple(int(u) for u in values)
+    return OperatorId("chooseConsistent", len(vals), vals)
+
+
+def choose_consistent_sub_id(values) -> OperatorId:
+    vals = tuple(int(u) for u in values)
+    return OperatorId("chooseConsistentSub", len(vals) + 2, vals)
 
 
 def sample_operator(op: OperatorId, words, n: int, rng: np.random.Generator):
     """Sample one output word; returns (word, draw record)."""
     if len(words) != op.arity:
         raise ValueError(f"{op.name} expects {op.arity} parents, got {len(words)}")
-    return _KERNELS[op.name](words, n, op.params, rng)
+    return OPERATORS[op.name][0](words, n, op.params, rng)
 
 
 def _check_lengths(*xs: BitString) -> int:
@@ -278,61 +250,6 @@ def _check_lengths(*xs: BitString) -> int:
         if x.n != n:
             raise ValueError(f"length mismatch: {x.n} != {n}")
     return n
-
-
-def uniform_sample(n: int, rng: np.random.Generator) -> BitString:
-    """Each bit independently 0 or 1 with probability one half."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return BitString(n, _rand_word(n, rng))
-
-
-def complement_op(x: BitString) -> BitString:
-    """Flip every bit."""
-    return BitString(x.n, ~x.word & ((1 << x.n) - 1))
-
-
-def flip_one_where_different(x: BitString, y: BitString, rng) -> BitString:
-    """Copy of x with one uniformly chosen differing bit flipped; x if none differ."""
-    n = _check_lengths(x, y)
-    word, _ = _k_flip_one((x.word, y.word), n, None, rng)
-    return BitString(n, word)
-
-
-def flip_k_where_different(ell: int, x: BitString, y: BitString, rng) -> BitString:
-    """Copy of y with min(ell, H(x, y)) uniformly chosen differing bits flipped."""
-    if ell < 0:
-        raise ValueError(f"ell must be non-negative, got {ell}")
-    n = _check_lengths(x, y)
-    word, _ = _k_flip_k((x.word, y.word), n, (ell,), rng)
-    return BitString(n, word)
-
-
-def random_where_different(x: BitString, y: BitString, rng) -> BitString:
-    """Keep shared bits; set each differing bit to x's or y's value with equal probability."""
-    n = _check_lengths(x, y)
-    word, _ = _k_rwd((x.word, y.word), n, None, rng)
-    return BitString(n, word)
-
-
-def update_op(a: BitString, b: BitString, c: BitString) -> BitString:
-    """Positionwise: take b's bit where a agrees with c, else keep a's bit."""
-    n = _check_lengths(a, b, c)
-    word, _ = _k_update((a.word, b.word, c.word), n, None, rng=None)
-    return BitString(n, word)
-
-
-def switch_if_distance_one(y: BitString, y2: BitString) -> BitString:
-    """y2 if the two differ in exactly one bit, else y."""
-    n = _check_lengths(y, y2)
-    word, _ = _k_switch((y.word, y2.word), n, None, rng=None)
-    return BitString(n, word)
-
-
-def flip_one_uniform(x: BitString, rng) -> BitString:
-    """Flip one uniformly chosen bit; the local-search baseline's mutation."""
-    word, _ = _k_flip_one_uniform((x.word,), x.n, None, rng)
-    return BitString(x.n, word)
 
 
 def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
@@ -361,7 +278,7 @@ def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
     name = op.name
 
     if name in ("complement", "update", "switchIfDistanceOne"):
-        word, _ = _KERNELS[name](words, n, None, None)
+        word, _ = OPERATORS[name][0](words, n, None, None)
         v[word] = 1.0
     elif name == "uniformSample":
         v[:] = 1.0 / size

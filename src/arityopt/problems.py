@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitcore import BitString, Permutation, word_unpack
+from .bitcore import BitString, Permutation, random_word, word_unpack
 
 __all__ = [
     "BudgetExhausted",
@@ -70,14 +70,6 @@ class OneMaxInstance:
 
     def evaluate_word(self, word: int) -> int:
         return self._n - (word ^ self._zword).bit_count()
-
-    def evaluate(self, x: BitString) -> int:
-        if x.n != self.n:
-            raise ValueError(f"length mismatch: {x.n} != {self.n}")
-        return self.evaluate_word(x.word)
-
-    def optimum_value(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -127,14 +119,6 @@ class LeadingOnesInstance:
                 lo = mid
         return lo
 
-    def evaluate(self, x: BitString) -> int:
-        if x.n != self.n:
-            raise ValueError(f"length mismatch: {x.n} != {self.n}")
-        return self.evaluate_word(x.word)
-
-    def optimum_value(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class MonotoneInstance:
@@ -166,14 +150,6 @@ class MonotoneInstance:
         n = self._n
         agree = ~(word ^ self._zword) & ((1 << n) - 1)
         return float(self._w.compress(word_unpack(agree, n)).sum())
-
-    def evaluate(self, x: BitString) -> float:
-        if x.n != self.n:
-            raise ValueError(f"length mismatch: {x.n} != {self.n}")
-        return self.evaluate_word(x.word)
-
-    def optimum_value(self) -> float:
-        return float(self._w.sum())
 
 
 class Oracle:
@@ -246,7 +222,7 @@ def random_instance(class_name: str, n: int, seed):
     if class_name not in INSTANCE_CLASSES:
         raise ValueError(f"unknown class {class_name!r}, expected one of {INSTANCE_CLASSES}")
     rng = np.random.default_rng(seed)
-    z = BitString(n, int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1))
+    z = BitString(n, random_word(n, rng))
     if class_name == "onemax":
         return OneMaxInstance(z)
     if class_name == "leadingones":

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .bitcore import BitString, Permutation, apply_permutation, permute_words
+from .bitcore import BitString, Permutation, apply_permutation, permute_words, random_word
 from .consistency import ExactEnumerationUnavailable
 from .operators import (
     EXACT_PMF_LIMIT,
+    OPERATORS,
     OperatorId,
     choose_consistent_id,
     choose_consistent_sub_id,
@@ -49,18 +50,7 @@ STATISTICAL_ALPHA = 1e-3  # per report, Bonferroni-corrected across trials
 
 NEGATIVE_CONTROL_NAME = "constantOnes"
 
-SHIPPED_OPERATOR_FAMILIES = (
-    "uniformSample",
-    "complement",
-    "flipOneWhereDifferent",
-    "flipKWhereDifferent",
-    "randomWhereDifferent",
-    "update",
-    "switchIfDistanceOne",
-    "flipOneUniform",
-    "chooseConsistent",
-    "chooseConsistentSub",
-)
+SHIPPED_OPERATOR_FAMILIES = tuple(OPERATORS)
 
 
 @dataclass(frozen=True)
@@ -136,19 +126,16 @@ def check_perm_invariance(op, inputs, sigma: Permutation) -> tuple[bool, float]:
 
 
 def _rand_bs(n, rng):
-    return BitString(n, int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1))
+    return BitString(n, random_word(n, rng))
 
 
 def _trial_case(family: str, n: int, rng) -> tuple[object, list[BitString]]:
     """One random (operator instance, inputs) pair for the family."""
-    if family == "uniformSample":
-        return OperatorId("uniformSample", 0), []
-    if family in ("complement", "flipOneUniform"):
-        return OperatorId(family, 1), [_rand_bs(n, rng)]
-    if family in ("flipOneWhereDifferent", "randomWhereDifferent", "switchIfDistanceOne"):
-        return OperatorId(family, 2), [_rand_bs(n, rng), _rand_bs(n, rng)]
-    if family == "update":
-        return OperatorId(family, 3), [_rand_bs(n, rng) for _ in range(3)]
+    if family == NEGATIVE_CONTROL_NAME:
+        return NEGATIVE_CONTROL, [_rand_bs(n, rng)]
+    arity = OPERATORS[family][1]
+    if arity is not None:
+        return OperatorId(family, arity), [_rand_bs(n, rng) for _ in range(arity)]
     if family == "flipKWhereDifferent":
         ell = int(rng.integers(0, n + 1))
         return flip_k_id(ell), [_rand_bs(n, rng), _rand_bs(n, rng)]
@@ -162,29 +149,26 @@ def _trial_case(family: str, n: int, rng) -> tuple[object, list[BitString]]:
         else:
             values = [int(rng.integers(0, n + 1)) for _ in range(t)]
         return choose_consistent_id(values), points
-    if family == "chooseConsistentSub":
-        ell = int(rng.integers(1, min(n, 6) + 1))
-        r = int(rng.integers(1, 4))
-        a_lo = _rand_bs(n, rng)
-        block = rng.choice(n, size=ell, replace=False)
-        mask = 0
-        for p in block:
-            mask |= 1 << int(p)
-        a_hi = BitString(n, a_lo.word ^ mask)
-        outside = a_lo.word & ~mask
-        points = []
-        for _ in range(r):
-            blk = int(rng.integers(0, 1 << ell))
-            w = outside
-            for j, p in enumerate(sorted(int(q) for q in block)):
-                if (blk >> j) & 1:
-                    w |= 1 << p
-            points.append(BitString(n, w))
-        values = [int(rng.integers(0, ell + 1)) for _ in range(r)]
-        return choose_consistent_sub_id(values), points + [a_lo, a_hi]
-    if family == NEGATIVE_CONTROL_NAME:
-        return NEGATIVE_CONTROL, [_rand_bs(n, rng)]
-    raise ValueError(f"unknown operator family {family!r}")
+    # chooseConsistentSub
+    ell = int(rng.integers(1, min(n, 6) + 1))
+    r = int(rng.integers(1, 4))
+    a_lo = _rand_bs(n, rng)
+    block = rng.choice(n, size=ell, replace=False)
+    mask = 0
+    for p in block:
+        mask |= 1 << int(p)
+    a_hi = BitString(n, a_lo.word ^ mask)
+    outside = a_lo.word & ~mask
+    points = []
+    for _ in range(r):
+        blk = int(rng.integers(0, 1 << ell))
+        w = outside
+        for j, p in enumerate(sorted(int(q) for q in block)):
+            if (blk >> j) & 1:
+                w |= 1 << p
+        points.append(BitString(n, w))
+    values = [int(rng.integers(0, ell + 1)) for _ in range(r)]
+    return choose_consistent_sub_id(values), points + [a_lo, a_hi]
 
 
 def _profile_key(word: int, ref_words: list[int]) -> tuple:

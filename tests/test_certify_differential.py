@@ -40,10 +40,8 @@ from arityopt.operators import (
     FLIP_ONE_WHERE_DIFFERENT,
     OperatorId,
     _check_lengths,
-    complement_op,
     exact_pmf,
-    switch_if_distance_one,
-    update_op,
+    sample_operator,
 )
 from arityopt.unbiasedness import (
     EXACT_TOLERANCE,
@@ -114,8 +112,8 @@ def dict_exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None
     if name == "uniformSample":
         p = 1.0 / (1 << n)
         return OutputDistribution({BitString(n, w): p for w in range(1 << n)})
-    if name == "complement":
-        return OutputDistribution({complement_op(inputs[0]): 1.0})
+    if name in ("complement", "update", "switchIfDistanceOne"):
+        return OutputDistribution({BitString(n, sample_operator(op, words, n, None)[0]): 1.0})
     if name == "flipOneWhereDifferent":
         x, y = words
         pos = differing_positions(x, y, n)
@@ -146,10 +144,6 @@ def dict_exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None
         return OutputDistribution(
             {BitString(n, x ^ s): p for s in _submasks(d)}
         )
-    if name == "update":
-        return OutputDistribution({update_op(*inputs): 1.0})
-    if name == "switchIfDistanceOne":
-        return OutputDistribution({switch_if_distance_one(*inputs): 1.0})
     if name == "flipOneUniform":
         x = words[0]
         p = 1.0 / n
@@ -262,8 +256,8 @@ class TestChecksMatchDictPmfs:
             "xor": (check_xor_invariance, dict_check_xor_invariance),
             "perm": (check_perm_invariance, dict_check_perm_invariance),
         }[check]
-        t = BitString.zeros(6) if check == "xor" else Permutation.identity(6)
-        big = BitString.zeros(17) if check == "xor" else Permutation.identity(17)
+        t = BitString.zeros(6) if check == "xor" else Permutation(tuple(range(6)))
+        big = BitString.zeros(17) if check == "xor" else Permutation(tuple(range(17)))
         short = [BitString.zeros(5), BitString.zeros(5)]
         for fn in (new, old):
             with pytest.raises(ValueError):

@@ -175,3 +175,17 @@ class TestReport:
         original = open(runs_csv[:-4] + ".summary.csv").read()
         assert open(out).read() == original
         assert json.load(open(out[:-4] + ".report.json"))["summaries"]
+
+    @pytest.mark.parametrize("bad", [
+        "0,foo,onemax,16,2,7,40,true,false",
+        "0,binary_onemax,plateau,16,2,7,40,true,false",
+        "0,binary_onemax,onemax,16,2,seven,40,true,false",
+    ])
+    def test_bad_row_exits_1(self, tmp_path, bad):
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(RUNS_HEADER + "\n" + bad + "\n")
+        proc = run_cli("report", "--input", path, "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert f"{path}, line 2" in proc.stderr

@@ -12,13 +12,13 @@ from arityopt.consistency import (
     ConsistencyQuery,
     ExactEnumerationUnavailable,
     choose_consistent,
-    choose_consistent_sub,
     choose_consistent_sub_word,
     consistent_set,
     consistent_words,
     embed_word,
     project_word,
 )
+from arityopt.operators import choose_consistent_sub_id, sample_operator
 from arityopt.problems import OneMaxInstance, random_instance
 
 ALPHA = 1e-3
@@ -105,7 +105,7 @@ class TestChooseConsistent:
         for trial in range(300):
             inst = random_instance("onemax", dim, trial)
             pts = [BitString(dim, int(w)) for w in rng.integers(1 << dim, size=4)]
-            vals = tuple(inst.evaluate(p) for p in pts)
+            vals = tuple(inst.evaluate_word(p.word) for p in pts)
             q = ConsistencyQuery(dim, tuple(pts), vals)
             assert inst.z in consistent_set(q)
 
@@ -155,26 +155,20 @@ class TestChooseConsistentSub:
         with pytest.raises(ValueError):
             choose_consistent_sub_word(n, [bad], [1], a_lo, a_hi, rng)
 
-    def test_wrapper_validates_block(self):
-        rng = np.random.default_rng(12)
-        with pytest.raises(ValueError):
-            choose_consistent_sub(
-                (0, 1), [], (bs("0000"), bs("0110")), rng
-            )
-
     def test_wrapper_draws_in_block(self):
+        # the operator's kernel, reached through sample_operator
         rng = np.random.default_rng(13)
         lo, hi = bs("0000"), bs("0110")
         for _ in range(50):
-            out = choose_consistent_sub((1, 2), [], (lo, hi), rng)
-            assert out.word & ~0b0110 == lo.word & ~0b0110
+            out, _ = sample_operator(choose_consistent_sub_id(()), [lo.word, hi.word], 4, rng)
+            assert out & ~0b0110 == lo.word & ~0b0110
 
     def test_uniform_within_block(self):
         rng = np.random.default_rng(14)
         lo, hi = bs("00000"), bs("01110")
         counts = dict.fromkeys(range(8), 0)
         for _ in range(16_000):
-            out = choose_consistent_sub((1, 2, 3), [], (lo, hi), rng)
-            counts[project_word(out.word, (1, 2, 3))] += 1
+            out, _ = sample_operator(choose_consistent_sub_id(()), [lo.word, hi.word], 5, rng)
+            counts[project_word(out, (1, 2, 3))] += 1
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > ALPHA

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arityopt import harness
+from arityopt import harness, unbiasedness
 from arityopt.algorithms import ALGORITHMS, RunRecord
 from arityopt.harness import (
     RUNS_HEADER,
@@ -221,6 +221,28 @@ class TestTracerBoundaries:
         assert tracer.stats["harness"][0] == len(configs)
         assert harness.run_rls_baseline.__module__ == "arityopt.algorithms"
 
+    @pytest.mark.parametrize("mode", ["exact", "statistical"])
+    def test_every_certification_crosses_the_traced_boundaries(self, mode):
+        # The tracer times a certification at unbiasedness.certify_operator
+        # and, in statistical mode, each sampled output at
+        # unbiasedness.sample_operator; a certifier that bypassed either
+        # would read 0 without an error.
+        tracing = load_tracing()
+        tracer = tracing.Tracer()
+        rng = np.random.default_rng(0)
+        tracer.install()
+        try:
+            for family in tracing.CERT_FAMILIES:
+                unbiasedness.certify_operator(family, 6, 1, rng, mode=mode)
+        finally:
+            tracer.restore()
+        for family in tracing.CERT_FAMILIES:
+            assert tracer.stats["unbiasedness.certify." + family][0] == 1
+        if mode == "statistical":
+            # 2,000 samples on each side of the two-sample comparison
+            for family in unbiasedness.SHIPPED_OPERATOR_FAMILIES:
+                assert tracer.stats["operators." + family][0] == 4000
+
 
 class TestSummarize:
     def test_group_statistics(self):
@@ -377,6 +399,25 @@ class TestFileRoundTrips:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_runs_csv(str(path))
+
+    @pytest.mark.parametrize("row,complaint", [
+        ("0,foo,onemax,8,2,0,9,true,false", "unknown algorithm 'foo'"),
+        ("0,rls,plateau,8,1,0,9,true,false", "unknown class 'plateau'"),
+        ("0,rls,onemax,8.5,1,0,9,true,false", "must be integers"),
+        ("0,rls,onemax,8,x,0,9,true,false", "must be integers"),
+        ("0,rls,onemax,8,1,,9,true,false", "must be integers"),
+        ("0,rls,onemax,8,1,0,nine,true,false", "must be integers"),
+        ("0,rls,onemax,8", "must be integers"),
+    ])
+    def test_read_rejects_bad_rows_naming_file_and_line(self, tmp_path, row, complaint):
+        path = str(tmp_path / "bad.csv")
+        good = "0,rls,onemax,8,1,0,9,true,false"
+        with open(path, "w") as fh:
+            fh.write("\n".join([RUNS_HEADER, good, row]) + "\n")
+        with pytest.raises(ConfigError) as err:
+            read_runs_csv(path)
+        assert f"{path}, line 3: " in str(err.value)
+        assert complaint in str(err.value)
 
     def test_emitted_files_are_deterministic(self, tmp_path):
         records = synthetic_records([(8, [10, 12])])

@@ -20,17 +20,9 @@ from arityopt.operators import (
     OutputDistribution,
     choose_consistent_id,
     choose_consistent_sub_id,
-    complement_op,
     exact_pmf,
     flip_k_id,
-    flip_k_where_different,
-    flip_one_uniform,
-    flip_one_where_different,
-    random_where_different,
     sample_operator,
-    switch_if_distance_one,
-    uniform_sample,
-    update_op,
 )
 
 ALPHA = 1e-3
@@ -38,6 +30,12 @@ ALPHA = 1e-3
 
 def bs(s: str) -> BitString:
     return BitString.from_string(s)
+
+
+def draw(op, *parents, rng=None) -> BitString:
+    """One output of op on bitstring parents: ``sample_operator(...)[0]``."""
+    n = parents[0].n
+    return BitString(n, sample_operator(op, [x.word for x in parents], n, rng)[0])
 
 
 class TestOperatorId:
@@ -67,75 +65,77 @@ class TestOperatorId:
 
 class TestDeterministicOperators:
     def test_complement(self):
-        assert complement_op(bs("0000")) == bs("1111")
-        assert complement_op(complement_op(bs("0110"))) == bs("0110")
+        assert draw(COMPLEMENT, bs("0000")) == bs("1111")
+        assert draw(COMPLEMENT, draw(COMPLEMENT, bs("0110"))) == bs("0110")
 
     def test_update_rule(self):
         # bit takes b where a and c agree, keeps a elsewhere
         a = bs("101100110")
         b = bs("010011110")
         c = bs("101011110")
-        assert update_op(a, b, c) == bs("010100110")
+        assert draw(UPDATE, a, b, c) == bs("010100110")
 
     def test_update_edges(self):
         a, b = bs("0101"), bs("1100")
-        assert update_op(a, b, a) == b
-        assert update_op(a, b, complement_op(a)) == a
+        assert draw(UPDATE, a, b, a) == b
+        assert draw(UPDATE, a, b, draw(COMPLEMENT, a)) == a
 
     def test_switch_if_distance_one(self):
-        assert switch_if_distance_one(bs("000"), bs("001")) == bs("001")
-        assert switch_if_distance_one(bs("000"), bs("011")) == bs("000")
-        assert switch_if_distance_one(bs("000"), bs("000")) == bs("000")
+        assert draw(SWITCH_IF_DISTANCE_ONE, bs("000"), bs("001")) == bs("001")
+        assert draw(SWITCH_IF_DISTANCE_ONE, bs("000"), bs("011")) == bs("000")
+        assert draw(SWITCH_IF_DISTANCE_ONE, bs("000"), bs("000")) == bs("000")
 
 
 class TestSamplerBehavior:
     def test_flip_one_support(self):
         rng = np.random.default_rng(0)
-        seen = {flip_one_where_different(bs("00"), bs("11"), rng) for _ in range(200)}
+        seen = {draw(FLIP_ONE_WHERE_DIFFERENT, bs("00"), bs("11"), rng=rng) for _ in range(200)}
         assert seen == {bs("01"), bs("10")}
 
     def test_flip_one_single_difference_is_forced(self):
         rng = np.random.default_rng(1)
-        assert flip_one_where_different(bs("00"), bs("01"), rng) == bs("01")
+        assert draw(FLIP_ONE_WHERE_DIFFERENT, bs("00"), bs("01"), rng=rng) == bs("01")
 
     def test_flip_one_identical_inputs(self):
         rng = np.random.default_rng(2)
-        assert flip_one_where_different(bs("0110"), bs("0110"), rng) == bs("0110")
+        assert draw(FLIP_ONE_WHERE_DIFFERENT, bs("0110"), bs("0110"), rng=rng) == bs("0110")
 
     def test_flip_k_copies_y_and_flips_toward_x(self):
         rng = np.random.default_rng(3)
-        seen = {flip_k_where_different(2, bs("000"), bs("111"), rng) for _ in range(200)}
+        seen = {draw(flip_k_id(2), bs("000"), bs("111"), rng=rng) for _ in range(200)}
         assert seen == {bs("001"), bs("010"), bs("100")}
 
     def test_flip_k_clamps_to_distance(self):
         rng = np.random.default_rng(4)
-        assert flip_k_where_different(0, bs("000"), bs("110"), rng) == bs("110")
-        assert flip_k_where_different(5, bs("010"), bs("111"), rng) == bs("010")
+        assert draw(flip_k_id(0), bs("000"), bs("110"), rng=rng) == bs("110")
+        assert draw(flip_k_id(5), bs("010"), bs("111"), rng=rng) == bs("010")
 
     def test_random_where_different_respects_agreement(self):
         rng = np.random.default_rng(5)
         x, y = bs("0011"), bs("0101")
         for _ in range(100):
-            out = random_where_different(x, y, rng)
+            out = draw(RANDOM_WHERE_DIFFERENT, x, y, rng=rng)
             assert out.bit(0) == 0 and out.bit(3) == 1
 
     def test_flip_one_uniform_changes_exactly_one_bit(self):
         rng = np.random.default_rng(6)
         x = bs("10110")
         for _ in range(100):
-            out = flip_one_uniform(x, rng)
+            out = draw(FLIP_ONE_UNIFORM, x, rng=rng)
             assert (out ^ x).popcount() == 1
 
     def test_uniform_sample_length(self):
         rng = np.random.default_rng(7)
-        assert uniform_sample(37, rng).n == 37
+        assert BitString(37, sample_operator(UNIFORM_SAMPLE, [], 37, rng)[0]).n == 37
 
     def test_length_mismatch(self):
-        rng = np.random.default_rng(8)
+        # parents of different lengths reach no kernel: exact_pmf rejects them
         with pytest.raises(ValueError):
-            flip_one_where_different(bs("00"), bs("000"), rng)
+            exact_pmf(FLIP_ONE_WHERE_DIFFERENT, [bs("00"), bs("000")])
         with pytest.raises(ValueError):
-            update_op(bs("00"), bs("000"), bs("00"))
+            exact_pmf(UPDATE, [bs("00"), bs("000"), bs("00")])
+        with pytest.raises(ValueError):
+            sample_operator(UPDATE, [0, 0], 2, None)
 
     def test_determinism_per_seed(self):
         ops_inputs = [
@@ -191,7 +191,7 @@ class TestExactPmf:
                 continue
             a = exact_pmf(flip_k_id(1), [x, y])
             b = exact_pmf(FLIP_ONE_WHERE_DIFFERENT, [y, x])
-            assert a.max_deviation(b) == 0.0
+            assert a.support == b.support
 
     def test_choose_consistent_uniform_on_survivors(self):
         dist = exact_pmf(choose_consistent_id((1,)), [bs("000")])

@@ -26,11 +26,11 @@ def bs(s: str) -> BitString:
 class TestOneMax:
     def test_known_value(self):
         inst = OneMaxInstance(bs("1011"))
-        assert inst.evaluate(bs("1001")) == 3
+        assert inst.evaluate_word(bs("1001").word) == 3
 
     def test_optimum(self):
         inst = OneMaxInstance(bs("0110"))
-        assert inst.evaluate(inst.z) == 4 == inst.optimum_value()
+        assert inst.evaluate_word(inst.z.word) == 4
 
     def test_complement_sums_to_n(self):
         rng = np.random.default_rng(0)
@@ -39,28 +39,24 @@ class TestOneMax:
         for w in rng.integers(1 << n, size=100):
             x = BitString(n, int(w))
             xc = BitString(n, x.word ^ ((1 << n) - 1))
-            assert inst.evaluate(x) + inst.evaluate(xc) == n
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            OneMaxInstance(bs("101")).evaluate(bs("10"))
+            assert inst.evaluate_word(x.word) + inst.evaluate_word(xc.word) == n
 
 
 class TestLeadingOnes:
     def test_prefix_order_follows_sigma(self):
-        # one-based sigma (3, 1, 2): slot 1 checks position 3 first
-        inst = LeadingOnesInstance(bs("111"), Permutation.from_one_based((3, 1, 2)))
-        assert inst.evaluate(bs("110")) == 0
-        assert inst.evaluate(bs("011")) == 1
-        assert inst.evaluate(bs("101")) == 2
-        assert inst.evaluate(bs("111")) == 3
+        # sigma (2, 0, 1): slot 0 checks position 2 first
+        inst = LeadingOnesInstance(bs("111"), Permutation((2, 0, 1)))
+        assert inst.evaluate_word(bs("110").word) == 0
+        assert inst.evaluate_word(bs("011").word) == 1
+        assert inst.evaluate_word(bs("101").word) == 2
+        assert inst.evaluate_word(bs("111").word) == 3
 
     def test_identity_sigma_counts_agreeing_prefix(self):
-        inst = LeadingOnesInstance(bs("1100"), Permutation.identity(4))
-        assert inst.evaluate(bs("1100")) == 4
-        assert inst.evaluate(bs("1101")) == 3
-        assert inst.evaluate(bs("1000")) == 1
-        assert inst.evaluate(bs("0100")) == 0
+        inst = LeadingOnesInstance(bs("1100"), Permutation((0, 1, 2, 3)))
+        assert inst.evaluate_word(bs("1100").word) == 4
+        assert inst.evaluate_word(bs("1101").word) == 3
+        assert inst.evaluate_word(bs("1000").word) == 1
+        assert inst.evaluate_word(bs("0100").word) == 0
 
     def test_value_ignores_bits_past_first_disagreement(self):
         rng = np.random.default_rng(1)
@@ -69,14 +65,14 @@ class TestLeadingOnes:
             inst = random_instance("leadingones", n, int(rng.integers(1 << 30)))
             w = int(rng.integers(1 << n))
             x = BitString(n, w)
-            v = inst.evaluate(x)
+            v = inst.evaluate_word(x.word)
             if v == n:
                 continue
             # flipping any bit at a slot past v+1 cannot change the value
             later = inst.sigma.mapping[v + 1 :]
             for pos in later[:4]:
                 y = BitString(n, w ^ (1 << pos))
-                assert inst.evaluate(y) == v
+                assert inst.evaluate_word(y.word) == v
 
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(2)
@@ -90,19 +86,19 @@ class TestLeadingOnes:
                     if x.bit(pos) != inst.z.bit(pos):
                         break
                     v += 1
-                assert inst.evaluate(x) == v
+                assert inst.evaluate_word(x.word) == v
 
     def test_sigma_size_mismatch(self):
         with pytest.raises(ValueError):
-            LeadingOnesInstance(bs("101"), Permutation.identity(4))
+            LeadingOnesInstance(bs("101"), Permutation((0, 1, 2, 3)))
 
 
 class TestMonotone:
     def test_value_is_weight_sum_on_agreement(self):
         inst = MonotoneInstance(bs("101"), (0.5, 0.25, 1.0))
-        assert inst.evaluate(bs("101")) == pytest.approx(1.75)
-        assert inst.evaluate(bs("001")) == pytest.approx(1.25)
-        assert inst.evaluate(bs("010")) == pytest.approx(0.0)
+        assert inst.evaluate_word(bs("101").word) == pytest.approx(1.75)
+        assert inst.evaluate_word(bs("001").word) == pytest.approx(1.25)
+        assert inst.evaluate_word(bs("010").word) == pytest.approx(0.0)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
@@ -131,7 +127,7 @@ class TestMonotone:
 
     def test_optimum(self):
         inst = MonotoneInstance(bs("110"), (0.3, 0.2, 0.9))
-        assert inst.evaluate(inst.z) == pytest.approx(inst.optimum_value())
+        assert inst.evaluate_word(inst.z.word) == pytest.approx(0.3 + 0.2 + 0.9)
 
 
 class TestOracle:

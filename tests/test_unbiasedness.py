@@ -36,7 +36,7 @@ class TestInvarianceChecks:
         assert ok and dev <= EXACT_TOLERANCE
 
     def test_perm_invariance_holds_for_rwd(self):
-        sigma = Permutation.from_one_based((3, 1, 4, 2, 5))
+        sigma = Permutation((2, 0, 3, 1, 4))
         ok, dev = check_perm_invariance(
             RANDOM_WHERE_DIFFERENT, [bs("00000"), bs("11010")], sigma
         )
@@ -53,7 +53,7 @@ class TestInvarianceChecks:
         ok, dev = check_xor_invariance(flip_k_id(2), [bs("000000"), bs("111111")], z)
         assert ok and dev == 0.0
         ok, dev = check_perm_invariance(
-            flip_k_id(2), [bs("000000"), bs("111111")], Permutation.identity(6)
+            flip_k_id(2), [bs("000000"), bs("111111")], Permutation(tuple(range(6)))
         )
         assert ok and dev == 0.0
 
