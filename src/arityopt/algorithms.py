@@ -6,9 +6,8 @@ query for every application (deterministic operators included), and returns
 only the new point's handle and fitness.  Raw bitstrings stay inside the
 engine, so a policy structurally cannot compute from anything but fitness
 values and handles.  Any operator whose arity exceeds the configured maximum
-rejects the run.  Handles index the oracle's own query history, which is the
-only store of queried points; a per-application audit list is kept only when
-the engine is built with ``audit=True``.
+rejects the run.  A handle is the int position of its point in the oracle's
+query history, which is the only store of queried points.
 
 Policies implemented on top: a binary-operator OneMax optimizer (also sound
 on any monotone agreement function), an unrestricted-arity sampling optimizer
@@ -22,9 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .bitcore import BitString
 from .bounds import round_count
 from .consistency import ENUMERATION_DIM_LIMIT
 from .operators import (
@@ -46,8 +44,6 @@ from .problems import BudgetExhausted, Oracle
 __all__ = [
     "ModelViolation",
     "PolicyFailure",
-    "PointHandle",
-    "OperatorCall",
     "EngineState",
     "PolicyView",
     "RunRecord",
@@ -55,7 +51,6 @@ __all__ = [
     "ALGORITHMS",
     "default_budget",
     "subset_round_count",
-    "optimize_subset",
     "run_binary_onemax",
     "run_star_ary_onemax",
     "run_kary_onemax",
@@ -70,25 +65,6 @@ class ModelViolation(RuntimeError):
 
 class PolicyFailure(RuntimeError):
     """A policy ended without querying the optimum, which its invariant rules out."""
-
-
-class PointHandle(int):
-    """Reference to a previously queried point, by position in query history.
-
-    Policies receive and pass around handles; only the engine can resolve
-    them to bitstrings.
-    """
-
-    __slots__ = ()
-
-
-class OperatorCall(NamedTuple):
-    """Audit record of one operator application."""
-
-    op: OperatorId
-    arity: int
-    parents: tuple
-    draw: object
 
 
 @dataclass(frozen=True)
@@ -106,32 +82,23 @@ class RunRecord:
 
 
 class EngineState:
-    """Owns the oracle and, optionally, the audit trail.
+    """Applies a policy's operators and queries their outputs on one oracle.
 
     ``max_arity=None`` means unrestricted arity.  Queried words and their
-    fitnesses live in the oracle's history; a handle is a position in it.
-    The words are reachable only through :meth:`debug_point`, which policies
-    never receive; they work against :class:`PolicyView`.  With
-    ``audit=True`` every application also appends an :class:`OperatorCall`
-    to ``audit``; otherwise ``audit`` is None.
+    fitnesses live in the oracle's history, and a handle is the int position
+    of a point in it.  Policies work against :class:`PolicyView` and never
+    see the words.
     """
 
-    def __init__(self, oracle: Oracle, max_arity: int | None, *, audit: bool = False):
+    def __init__(self, oracle: Oracle, max_arity: int | None):
         if max_arity is not None and max_arity < 1:
             raise ValueError(f"max_arity must be positive or None, got {max_arity}")
-        self.oracle = oracle
         self.max_arity = max_arity
         self.n = oracle.n
         self._query = oracle._query_word
         self._points = oracle._words
-        self.fitnesses = oracle._values
-        self.audit: list[OperatorCall] | None = [] if audit else None
 
-    @property
-    def query_count(self) -> int:
-        return self.oracle.query_count
-
-    def apply(self, op: OperatorId, parents, rng) -> tuple[PointHandle, float]:
+    def apply(self, op: OperatorId, parents, rng) -> tuple[int, float]:
         """Sample op on the referenced parents and query the result through
         the oracle, which records it; returns (handle, fitness)."""
         if self.max_arity is not None and op.arity > self.max_arity:
@@ -145,16 +112,8 @@ class EngineState:
             if h < 0 or h >= m:
                 raise ValueError(f"invalid point handle {h}")
             words.append(pts[h])
-        word, draw = sample_operator(op, words, self.n, rng)
         # the oracle checks the budget before it appends word and fitness
-        fit = self._query(word)
-        if self.audit is not None:
-            self.audit.append(OperatorCall(op, op.arity, tuple(parents), draw))
-        return PointHandle(m), fit
-
-    def debug_point(self, handle) -> BitString:
-        """Resolve a handle to its bitstring; for tests and verification only."""
-        return BitString(self.n, self._points[handle])
+        return m, self._query(sample_operator(op, words, self.n, rng))
 
     @property
     def view(self) -> "PolicyView":
@@ -162,15 +121,15 @@ class EngineState:
 
 
 class PolicyView:
-    """What a policy is allowed to see: apply, n, max arity.  Fitness values
-    come back from ``apply``; the history itself stays with the oracle."""
+    """What a policy is allowed to see: apply and n.  Handles and fitness
+    values come back from ``apply``; the history itself stays with the
+    oracle."""
 
-    __slots__ = ("apply", "n", "max_arity")
+    __slots__ = ("apply", "n")
 
     def __init__(self, engine: EngineState):
         self.apply = engine.apply
         self.n = engine.n
-        self.max_arity = engine.max_arity
 
 
 def default_budget(n: int) -> int:
@@ -361,25 +320,6 @@ def policy_rls(view: PolicyView, rng):
         if f2 >= fx:
             hx, fx = h2, f2
     return hx
-
-
-def optimize_subset(n: int, ell: int, anchors, oracle: Oracle, rng) -> BitString:
-    """Standalone subset solver over an anchor pair differing on ell positions.
-
-    Queries both anchors, then runs the k-ary policy's subset phase on an
-    engine of unrestricted arity over the same oracle.  Returns the point
-    carrying the corrected block embedded in the anchors' shared suffix.
-    """
-    a_bar, a = anchors
-    if a_bar.n != n or a.n != n:
-        raise ValueError("anchor length does not match n")
-    if (a_bar.word ^ a.word).bit_count() != ell:
-        raise ValueError("anchors must differ on exactly ell positions")
-    engine = EngineState(oracle, max_arity=None)
-    h_abar, f_abar = PointHandle(oracle.query_count), oracle.query(a_bar)
-    h_a, f_a = PointHandle(oracle.query_count), oracle.query(a)
-    h, _ = _subset_policy(engine.view, rng, ell, h_abar, f_abar, h_a, f_a)
-    return engine.debug_point(h)
 
 
 # The algorithm registry, and the runners: each checks its run against the

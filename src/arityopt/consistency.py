@@ -148,24 +148,22 @@ def consistent_set(q: ConsistencyQuery) -> set[BitString]:
     return {BitString(q.dim, int(w)) for w in words}
 
 
-def choose_consistent_word(
-    dim: int, point_words, values, rng: np.random.Generator
-) -> tuple[int, int]:
+def choose_consistent_word(dim: int, point_words, values, rng: np.random.Generator) -> int:
     """Uniform consistent word, or uniform over all words if none is consistent.
 
-    Returns (word, draw) where draw records the uniform index or fallback word.
+    Returns the word; it is the survivor at a uniform index into the
+    ascending ``consistent_words`` array, or a ``random_word`` when that is
+    empty.
     """
     survivors = consistent_words(dim, point_words, values)
     if survivors.size == 0:
-        word = random_word(dim, rng)
-        return word, word
-    idx = int(rng.integers(survivors.size))
-    return int(survivors[idx]), idx
+        return random_word(dim, rng)
+    return int(survivors[int(rng.integers(survivors.size))])
 
 
 def choose_consistent(q: ConsistencyQuery, rng: np.random.Generator) -> BitString:
     """Uniform draw from consistent_set(q); uniform over {0,1}^dim if empty."""
-    word, _ = choose_consistent_word(q.dim, [p.word for p in q.points], q.values, rng)
+    word = choose_consistent_word(q.dim, [p.word for p in q.points], q.values, rng)
     return BitString(q.dim, word)
 
 
@@ -229,15 +227,14 @@ def choose_consistent_sub_word(
     anchor_lo: int,
     anchor_hi: int,
     rng: np.random.Generator,
-) -> tuple[int, int, tuple[int, ...]]:
+) -> int:
     """Block-restricted consistent draw; the block is where the anchors differ.
 
     The history is validated and projected by ``block_projection``; the
-    values are block-level agreement counts.  Returns (word, block_draw,
-    block_positions); the output always carries the anchors' bits outside
-    the block.
+    values are block-level agreement counts.  Returns the word, which always
+    carries the anchors' bits outside the block.
     """
     block, outside, projected = block_projection(n, point_words, values, anchor_lo, anchor_hi)
-    small, draw = choose_consistent_word(len(block), projected, values, rng) if block else (0, 0)
-    return outside | embed_word(small, block, 0), draw, block
+    small = choose_consistent_word(len(block), projected, values, rng) if block else 0
+    return outside | embed_word(small, block, 0)
 

@@ -23,10 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .algorithms import ALGORITHMS, RunRecord, default_budget
 from .algorithms import (  # noqa: F401  (_trial calls run_* by name)
-    ALGORITHMS,
-    RunRecord,
-    default_budget,
     run_binary_leadingones,
     run_binary_onemax,
     run_kary_onemax,
@@ -315,8 +313,9 @@ def summary_csv_text(rows: list[SummaryRow]) -> str:
 
 def read_runs_csv(path: str) -> list[RunRecord]:
     """Records of a runs CSV.  A wrong header, an algorithm or class that no
-    run can have, or a non-integer n, k, seed or queries is a ConfigError
-    that names the file and the line."""
+    run can have, a non-integer n, k, seed or queries, or a success or
+    hit_budget other than ``true`` or ``false`` is a ConfigError that names
+    the file and the line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -332,10 +331,13 @@ def read_runs_csv(path: str) -> list[RunRecord]:
                 n, k, seed, queries = (int(row[c]) for c in ("n", "k", "seed", "queries"))
             except (TypeError, ValueError):
                 raise ConfigError(f"{where}: n, k, seed and queries must be integers") from None
+            flags = (row["success"], row["hit_budget"])
+            if not {"true", "false"}.issuperset(flags):
+                raise ConfigError(f"{where}: success and hit_budget must be true or false")
             records.append(
                 RunRecord(
                     row["algorithm"], row["class"], n, k, seed, queries,
-                    row["success"] == "true", row["hit_budget"] == "true",
+                    flags[0] == "true", flags[1] == "true",
                 )
             )
     return records

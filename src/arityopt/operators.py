@@ -12,8 +12,8 @@ over ``BitString`` outputs, built from the vector's nonzero entries.
 The word-level kernels are the only definition of what an operator samples.
 ``OPERATORS`` maps each family name to its kernel and its fixed arity, and
 ``OperatorId``, ``sample_operator`` (the hot path shared with the run engine
-and the statistical certifier) and the deterministic branch of ``pmf_vector``
-all read that one table.
+and the statistical certifier) and the final, deterministic branch of
+``pmf_vector`` all read that one table.
 """
 
 from __future__ import annotations
@@ -86,25 +86,23 @@ def _rand_word(n: int, rng: np.random.Generator) -> int:
     return int.from_bytes(raw.tobytes(), "little") & ((1 << n) - 1)
 
 
-# Word-level kernels.  Each returns (output word, compact record of the RNG
-# draw consumed); deterministic operators record None.
+# Word-level kernels.  Each returns its output word; the deterministic ones
+# ignore rng.
 
 def _k_uniform(words, n, params, rng):
-    w = _rand_word(n, rng)
-    return w, w
+    return _rand_word(n, rng)
 
 
 def _k_complement(words, n, params, rng):
-    return ~words[0] & ((1 << n) - 1), None
+    return ~words[0] & ((1 << n) - 1)
 
 
 def _k_flip_one(words, n, params, rng):
     x, y = words
     d = x ^ y
     if d == 0:
-        return x, None
-    p = nth_set_bit(d, int(rng.integers(d.bit_count())))
-    return x ^ (1 << p), p
+        return x
+    return x ^ (1 << nth_set_bit(d, int(rng.integers(d.bit_count()))))
 
 
 def _k_flip_k(words, n, params, rng):
@@ -117,37 +115,34 @@ def _k_flip_k(words, n, params, rng):
         d ^= low
     take = min(params[0], len(pos))
     if take == 0:
-        return y, ()
-    chosen = [pos[r] for r in rng.choice(len(pos), size=take, replace=False).tolist()]
+        return y
     out = y
-    for p in chosen:
-        out ^= 1 << p
-    return out, tuple(sorted(chosen))
+    for r in rng.choice(len(pos), size=take, replace=False).tolist():
+        out ^= 1 << pos[r]
+    return out
 
 
 def _k_rwd(words, n, params, rng):
     x, y = words
     d = x ^ y
     if d == 0:
-        return x, 0
-    sel = d & _rand_word(n, rng)
-    return x ^ sel, sel
+        return x
+    return x ^ (d & _rand_word(n, rng))
 
 
 def _k_update(words, n, params, rng):
     a, b, c = words
     agree = ~(a ^ c) & ((1 << n) - 1)
-    return (agree & b) | (a & ~agree), None
+    return (agree & b) | (a & ~agree)
 
 
 def _k_switch(words, n, params, rng):
     y, y2 = words
-    return (y2 if (y ^ y2).bit_count() == 1 else y), None
+    return y2 if (y ^ y2).bit_count() == 1 else y
 
 
 def _k_flip_one_uniform(words, n, params, rng):
-    p = int(rng.integers(n))
-    return words[0] ^ (1 << p), p
+    return words[0] ^ (1 << int(rng.integers(n)))
 
 
 def _k_choose_consistent(words, n, params, rng):
@@ -155,10 +150,7 @@ def _k_choose_consistent(words, n, params, rng):
 
 
 def _k_choose_consistent_sub(words, n, params, rng):
-    word, draw, _ = choose_consistent_sub_word(
-        n, words[:-2], params, words[-2], words[-1], rng
-    )
-    return word, draw
+    return choose_consistent_sub_word(n, words[:-2], params, words[-2], words[-1], rng)
 
 
 # The operator table: family name -> (kernel, fixed arity).  The arity is
@@ -237,8 +229,8 @@ def choose_consistent_sub_id(values) -> OperatorId:
     return OperatorId("chooseConsistentSub", len(vals) + 2, vals)
 
 
-def sample_operator(op: OperatorId, words, n: int, rng: np.random.Generator):
-    """Sample one output word; returns (word, draw record)."""
+def sample_operator(op: OperatorId, words, n: int, rng: np.random.Generator) -> int:
+    """Sample one output word of op on the parent words."""
     if len(words) != op.arity:
         raise ValueError(f"{op.name} expects {op.arity} parents, got {len(words)}")
     return OPERATORS[op.name][0](words, n, op.params, rng)
@@ -277,10 +269,7 @@ def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
     v = np.zeros(size)
     name = op.name
 
-    if name in ("complement", "update", "switchIfDistanceOne"):
-        word, _ = OPERATORS[name][0](words, n, None, None)
-        v[word] = 1.0
-    elif name == "uniformSample":
+    if name == "uniformSample":
         v[:] = 1.0 / size
     elif name == "flipOneWhereDifferent":
         x, y = words
@@ -317,7 +306,8 @@ def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
             out |= ((survivors >> j) & 1).astype(np.int64) << p
         v[out] = 1.0 / survivors.size
     else:
-        raise ValueError(f"unknown operator name {name!r}")  # pragma: no cover
+        # every family left is deterministic: its kernel needs no generator
+        v[OPERATORS[name][0](words, n, None, None)] = 1.0
     _check_probabilities(v[v != 0].tolist())
     return v
 

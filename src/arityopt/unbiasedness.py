@@ -186,7 +186,7 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     sample = (
         _control_sample
         if op.name == NEGATIVE_CONTROL_NAME
-        else lambda ws, m, g: sample_operator(op, ws, m, g)[0]
+        else lambda ws, m, g: sample_operator(op, ws, m, g)
     )
     in_words = [b.word for b in inputs]
     counts1: dict = {}

@@ -8,11 +8,11 @@ import pytest
 from arityopt.algorithms import (
     EngineState,
     ModelViolation,
-    PointHandle,
     PolicyFailure,
+    _subset_policy,
     default_budget,
-    optimize_subset,
     policy_binary_leadingones,
+    policy_binary_onemax,
     run_binary_leadingones,
     run_binary_onemax,
     run_kary_onemax,
@@ -25,7 +25,9 @@ from arityopt.bounds import round_count
 from arityopt.operators import (
     COMPLEMENT,
     FLIP_ONE_WHERE_DIFFERENT,
+    SWITCH_IF_DISTANCE_ONE,
     UNIFORM_SAMPLE,
+    UPDATE,
 )
 from arityopt.problems import (
     BudgetExhausted,
@@ -47,67 +49,112 @@ def split_rng(seed: int):
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
 
+def record_applications(engine: EngineState) -> list:
+    """Wrap ``engine.apply`` so that each application that got its query
+    appends (op, parents); take ``engine.view`` after this."""
+    calls = []
+    apply = engine.apply
+
+    def recording(op, parents, rng):
+        out = apply(op, parents, rng)
+        calls.append((op, tuple(parents)))
+        return out
+
+    engine.apply = recording
+    return calls
+
+
 class TestEngine:
     def test_apply_counts_and_audits(self):
-        e = EngineState(Oracle(OneMaxInstance(bs("1010"))), max_arity=2, audit=True)
+        # the oracle's history records each application, and a handle is the
+        # position of its point there
+        oracle = Oracle(OneMaxInstance(bs("1010")))
+        e = EngineState(oracle, max_arity=2)
         h0, f0 = e.apply(UNIFORM_SAMPLE, (), np.random.default_rng(0))
-        assert h0 == PointHandle(0)
-        assert e.query_count == 1 == len(e.audit)
+        assert h0 == 0 and oracle.query_count == 1
         h1, f1 = e.apply(COMPLEMENT, (h0,), np.random.default_rng(0))
-        assert h1 == PointHandle(1)
+        assert h1 == 1 and oracle.query_count == 2
         assert f0 + f1 == 4
-        assert e.audit[1].op is COMPLEMENT
-        assert e.audit[1].parents == (h0,)
+        (x, fx), (xc, fxc) = oracle.history
+        assert (fx, fxc) == (f0, f1)
+        assert (x ^ xc).popcount() == 4
 
     def test_arity_enforcement(self):
-        e = EngineState(Oracle(OneMaxInstance(bs("1010"))), max_arity=1)
+        oracle = Oracle(OneMaxInstance(bs("1010")))
+        e = EngineState(oracle, max_arity=1)
         rng = np.random.default_rng(1)
         h0, _ = e.apply(UNIFORM_SAMPLE, (), rng)
         h1, _ = e.apply(COMPLEMENT, (h0,), rng)
         with pytest.raises(ModelViolation):
             e.apply(FLIP_ONE_WHERE_DIFFERENT, (h0, h1), rng)
+        assert oracle.query_count == 2
 
     def test_invalid_handle(self):
-        e = EngineState(Oracle(OneMaxInstance(bs("1010"))), max_arity=None)
+        oracle = Oracle(OneMaxInstance(bs("1010")))
+        e = EngineState(oracle, max_arity=None)
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            e.apply(COMPLEMENT, (PointHandle(0),), rng)
+        with pytest.raises(ValueError, match="invalid point handle 0"):
+            e.apply(COMPLEMENT, (0,), rng)
+        h0, _ = e.apply(UNIFORM_SAMPLE, (), rng)
+        for bad in (-1, h0 + 1):
+            with pytest.raises(ValueError, match="invalid point handle"):
+                e.apply(COMPLEMENT, (bad,), rng)
+        assert oracle.query_count == 1
+
+    def test_parent_count_must_match_arity(self):
+        oracle = Oracle(OneMaxInstance(bs("1010")))
+        e = EngineState(oracle, max_arity=None)
+        rng = np.random.default_rng(5)
+        h0, _ = e.apply(UNIFORM_SAMPLE, (), rng)
+        for parents in ((), (h0, h0)):
+            with pytest.raises(ValueError, match="expects 1 parents"):
+                e.apply(COMPLEMENT, parents, rng)
+        assert oracle.query_count == 1
 
     def test_budget_stops_before_state_update(self):
-        e = EngineState(
-            Oracle(OneMaxInstance(bs("1010")), budget=1), max_arity=None, audit=True
-        )
+        oracle = Oracle(OneMaxInstance(bs("1010")), budget=1)
+        e = EngineState(oracle, max_arity=None)
         rng = np.random.default_rng(3)
         e.apply(UNIFORM_SAMPLE, (), rng)
         with pytest.raises(BudgetExhausted):
             e.apply(UNIFORM_SAMPLE, (), rng)
-        assert e.query_count == 1
-        assert len(e.audit) == 1
-        assert len(e.fitnesses) == 1
+        assert oracle.query_count == 1
+        assert len(oracle.history) == 1
 
-    def test_audit_is_opt_in(self):
+    def test_one_oracle_query_per_application(self):
+        # deterministic operators pay their query too
         oracle = Oracle(OneMaxInstance(bs("1010")))
-        e = EngineState(oracle, max_arity=2)
-        h0, f0 = e.apply(UNIFORM_SAMPLE, (), np.random.default_rng(0))
-        assert e.audit is None
-        assert e.query_count == 1
-        assert oracle.history == [(e.debug_point(h0), f0)]
+        e = EngineState(oracle, max_arity=None)
+        rng = np.random.default_rng(0)
+        h0, _ = e.apply(UNIFORM_SAMPLE, (), rng)
+        h1, _ = e.apply(COMPLEMENT, (h0,), rng)
+        steps = [
+            (FLIP_ONE_WHERE_DIFFERENT, (h0, h1)),
+            (UPDATE, (h0, h1, h0)),
+            (SWITCH_IF_DISTANCE_ONE, (h0, h0)),
+        ]
+        for want, (op, parents) in enumerate(steps, start=2):
+            h, f = e.apply(op, parents, rng)
+            assert h == want == oracle.query_count - 1
+            assert oracle.history[h][1] == f
+
+    def test_debug_point_resolves(self):
+        # a handle resolves to its point through the oracle's history
+        oracle = Oracle(OneMaxInstance(bs("0110")))
+        e = EngineState(oracle, max_arity=None)
+        rng = np.random.default_rng(4)
+        h, _ = e.apply(UNIFORM_SAMPLE, (), rng)
+        hc, _ = e.apply(COMPLEMENT, (h,), rng)
+        x, xc = oracle.history[h][0], oracle.history[hc][0]
+        assert (x ^ xc).popcount() == 4
 
     def test_view_hides_engine_internals(self):
         e = EngineState(Oracle(OneMaxInstance(bs("1010"))), max_arity=2)
         view = e.view
-        for attr in ("oracle", "debug_point", "_points", "audit", "fitnesses"):
+        for attr in ("oracle", "max_arity", "_points", "_query"):
             assert not hasattr(view, attr)
         with pytest.raises(AttributeError):
             view.extra = 1
-
-    def test_debug_point_resolves(self):
-        e = EngineState(Oracle(OneMaxInstance(bs("0110"))), max_arity=None)
-        rng = np.random.default_rng(4)
-        h, _ = e.apply(UNIFORM_SAMPLE, (), rng)
-        hc, _ = e.apply(COMPLEMENT, (h,), rng)
-        x, xc = e.debug_point(h), e.debug_point(hc)
-        assert (x ^ xc).popcount() == 4
 
 
 class TestBudgetHelpers:
@@ -226,57 +273,53 @@ class TestRunners:
 
 class TestBinaryOneMaxInvariant:
     def test_agreed_positions_hold_optimal_bits(self):
-        # replay the audit: wherever x and y agree, both carry z's bit
+        # replay the applications: wherever x and y agree, both carry z's bit
         oracle = make_oracle("onemax", 20, seed=14)
-        e = EngineState(oracle, max_arity=2, audit=True)
-        rng = split_rng(14)
-        from arityopt.algorithms import policy_binary_onemax
-
-        policy_binary_onemax(e.view, rng)
-        assert len(e.audit) == oracle.query_count
+        e = EngineState(oracle, max_arity=2)
+        calls = record_applications(e)
+        policy_binary_onemax(e.view, split_rng(14))
+        assert len(calls) == oracle.query_count
         z = oracle.debug_instance.z
-        n = z.n
-        full = (1 << n) - 1
+        full = (1 << z.n) - 1
+        history = oracle.history
         hx, hy = None, None
-        fits = e.fitnesses
-        for idx, call in enumerate(e.audit):
-            if call.op is UNIFORM_SAMPLE:
+        for idx, (op, parents) in enumerate(calls):
+            if op is UNIFORM_SAMPLE:
                 hx = idx
-            elif call.op is COMPLEMENT:
+            elif op is COMPLEMENT:
                 hy = idx
-            elif call.op is FLIP_ONE_WHERE_DIFFERENT:
-                base = call.parents[0]
-                if base == hx and fits[idx] > fits[hx]:
+            elif op is FLIP_ONE_WHERE_DIFFERENT:
+                base = parents[0]
+                if base == hx and history[idx][1] > history[hx][1]:
                     hx = idx
-                elif base == hy and fits[idx] > fits[hy]:
+                elif base == hy and history[idx][1] > history[hy][1]:
                     hy = idx
             if hx is None or hy is None:
                 continue
-            x = e.debug_point(hx).word
-            y = e.debug_point(hy).word
+            x = history[hx][0].word
+            y = history[hy][0].word
             agree = ~(x ^ y) & full
             assert x & agree == z.word & agree
 
     def test_pair_distance_shrinks_by_one_per_acceptance(self):
         oracle = make_oracle("onemax", 16, seed=15)
-        e = EngineState(oracle, max_arity=2, audit=True)
-        from arityopt.algorithms import policy_binary_onemax
-
+        e = EngineState(oracle, max_arity=2)
+        calls = record_applications(e)
         policy_binary_onemax(e.view, split_rng(15))
-        assert len(e.audit) == oracle.query_count
+        assert len(calls) == oracle.query_count
         accepted = 0
-        fits = e.fitnesses
+        history = oracle.history
         hx, hy = 0, 1
-        for idx, call in enumerate(e.audit):
-            if call.op is FLIP_ONE_WHERE_DIFFERENT:
-                base = call.parents[0]
-                if base == hx and fits[idx] > fits[hx]:
+        for idx, (op, parents) in enumerate(calls):
+            if op is FLIP_ONE_WHERE_DIFFERENT:
+                base = parents[0]
+                if base == hx and history[idx][1] > history[hx][1]:
                     hx = idx
                     accepted += 1
-                elif base == hy and fits[idx] > fits[hy]:
+                elif base == hy and history[idx][1] > history[hy][1]:
                     hy = idx
                     accepted += 1
-                d = (e.debug_point(hx).word ^ e.debug_point(hy).word).bit_count()
+                d = (history[hx][0] ^ history[hy][0]).popcount()
                 assert d == 16 - accepted
 
 
@@ -287,13 +330,16 @@ class TestOptimizeSubset:
         block = sorted(int(p) for p in rng.choice(n, size=ell, replace=False))
         mask = sum(1 << p for p in block)
         base = int(rng.integers(1 << n))
-        a = BitString(n, base)
-        a_bar = BitString(n, base ^ mask)
         oracle = Oracle(inst)
-        out = optimize_subset(n, ell, (a_bar, a), oracle, rng)
+        # the anchors are the first two queries, so their handles are 0 and 1
+        f_abar = oracle.query(BitString(n, base ^ mask))
+        f_a = oracle.query(BitString(n, base))
+        engine = EngineState(oracle, None)
+        h, _ = _subset_policy(engine.view, rng, ell, 0, f_abar, 1, f_a)
+        out = oracle.history[h][0].word
         # block bits match the hidden string; outside bits match the anchors
-        assert out.word & mask == inst.z.word & mask
-        assert out.word & ~mask == base & ~mask
+        assert out & mask == inst.z.word & mask
+        assert out & ~mask == base & ~mask
 
     def test_small_blocks_use_pair_descent(self):
         for ell, seed in ((1, 20), (2, 21)):
@@ -303,12 +349,6 @@ class TestOptimizeSubset:
         for ell, seed in ((3, 22), (5, 23), (8, 24), (12, 25)):
             self._check(16, ell, seed)
 
-    def test_rejects_mismatched_anchors(self):
-        oracle = Oracle(random_instance("onemax", 8, 0))
-        rng = np.random.default_rng(26)
-        with pytest.raises(ValueError):
-            optimize_subset(8, 3, (bs("00000000"), bs("00000011")), oracle, rng)
-
 
 class TestLeadingOnesProgress:
     def test_prefix_value_never_decreases_on_x(self):
@@ -316,11 +356,12 @@ class TestLeadingOnesProgress:
         oracle = make_oracle("leadingones", 24, seed=27)
         e = EngineState(oracle, max_arity=2)
         policy_binary_leadingones(e.view, split_rng(27))
+        fits = [f for _, f in oracle.history]
         best_seen = 0.0
-        for f in e.fitnesses:
+        for f in fits:
             best_seen = max(best_seen, f)
         assert best_seen == 24
-        assert e.fitnesses[-1] == 24
+        assert fits[-1] == 24
 
 
 class ScriptedView:
@@ -328,13 +369,12 @@ class ScriptedView:
 
     def __init__(self, n, script):
         self.n = n
-        self.max_arity = 2
         self.fitnesses = []
         self._script = iter(script)
 
     def apply(self, op, parents, rng):
         self.fitnesses.append(next(self._script))
-        return PointHandle(len(self.fitnesses) - 1), self.fitnesses[-1]
+        return len(self.fitnesses) - 1, self.fitnesses[-1]
 
 
 class TestPolicyFailure:

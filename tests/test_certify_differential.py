@@ -113,7 +113,7 @@ def dict_exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None
         p = 1.0 / (1 << n)
         return OutputDistribution({BitString(n, w): p for w in range(1 << n)})
     if name in ("complement", "update", "switchIfDistanceOne"):
-        return OutputDistribution({BitString(n, sample_operator(op, words, n, None)[0]): 1.0})
+        return OutputDistribution({BitString(n, sample_operator(op, words, n, None)): 1.0})
     if name == "flipOneWhereDifferent":
         x, y = words
         pos = differing_positions(x, y, n)

@@ -180,6 +180,7 @@ class TestReport:
         "0,foo,onemax,16,2,7,40,true,false",
         "0,binary_onemax,plateau,16,2,7,40,true,false",
         "0,binary_onemax,onemax,16,2,seven,40,true,false",
+        "0,binary_onemax,onemax,16,2,7,40,True,False",
     ])
     def test_bad_row_exits_1(self, tmp_path, bad):
         path = str(tmp_path / "bad.csv")

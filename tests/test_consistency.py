@@ -11,6 +11,7 @@ from arityopt.consistency import (
     ENUMERATION_DIM_LIMIT,
     ConsistencyQuery,
     ExactEnumerationUnavailable,
+    block_projection,
     choose_consistent,
     choose_consistent_sub_word,
     consistent_set,
@@ -130,8 +131,8 @@ class TestChooseConsistentSub:
             mask = sum(1 << p for p in block)
             a_lo = outside & ~mask
             a_hi = a_lo | mask
-            w, _, blk = choose_consistent_sub_word(n, [], [], a_lo, a_hi, rng)
-            assert tuple(block) == blk
+            w = choose_consistent_sub_word(n, [], [], a_lo, a_hi, rng)
+            assert block_projection(n, [], [], a_lo, a_hi)[0] == tuple(block)
             assert w & ~mask == a_lo & ~mask
 
     def test_respects_block_constraints(self):
@@ -144,7 +145,7 @@ class TestChooseConsistentSub:
         # one history point with full block agreement pins the block bits
         hidden_block = 0b1010
         point = a_lo | embed_word(hidden_block, block, 0)
-        w, _, _ = choose_consistent_sub_word(n, [point], [4], a_lo, a_hi, rng)
+        w = choose_consistent_sub_word(n, [point], [4], a_lo, a_hi, rng)
         assert project_word(w, block) == hidden_block
 
     def test_rejects_history_disagreeing_outside(self):
@@ -160,7 +161,7 @@ class TestChooseConsistentSub:
         rng = np.random.default_rng(13)
         lo, hi = bs("0000"), bs("0110")
         for _ in range(50):
-            out, _ = sample_operator(choose_consistent_sub_id(()), [lo.word, hi.word], 4, rng)
+            out = sample_operator(choose_consistent_sub_id(()), [lo.word, hi.word], 4, rng)
             assert out & ~0b0110 == lo.word & ~0b0110
 
     def test_uniform_within_block(self):
@@ -168,7 +169,7 @@ class TestChooseConsistentSub:
         lo, hi = bs("00000"), bs("01110")
         counts = dict.fromkeys(range(8), 0)
         for _ in range(16_000):
-            out, _ = sample_operator(choose_consistent_sub_id(()), [lo.word, hi.word], 5, rng)
+            out = sample_operator(choose_consistent_sub_id(()), [lo.word, hi.word], 5, rng)
             counts[project_word(out, (1, 2, 3))] += 1
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > ALPHA

@@ -6,6 +6,10 @@ the sha256 of the runs CSV, the summary CSV, the report JSON and the
 instances JSON must be the recorded ones.  So must the stdout of
 ``verify-unbiased --n 6 --trials 5``.  A refactor keeps every digest; a
 change of behaviour re-records them and says so.
+
+``BUDGET_HIT_DIGESTS`` pins the budget-exhausted path the same way: ``rls``
+on ``leadingones`` at n = 8, 3 trials, seed 0, ``--budget 30``, where runs 0
+and 1 hit the budget and run 2 completes.
 """
 
 from __future__ import annotations
@@ -64,6 +68,15 @@ RUN_DIGESTS = {
     ),
 }
 
+BUDGET_HIT_DIGESTS = {
+    ("rls", "leadingones", "30"): (
+        "79967fee6f0b847e645a5201f8941c98abeb8427846bd820ee7efeedea32bb7b",
+        "e9fdc6a726f45eb33a0f8be7b94c98342cc6bfafad2c16c05cc7b066a4048e3e",
+        "b4c7cb3b2a1105df73ecdd19104d04cf14f9e68342980d7d839cb3dce05159c1",
+        "db2577a5c4ed3ea1185ccf4259f1e6a25a241cea20d60d368ef5fecfe0fef41f",
+    ),
+}
+
 VERIFY_UNBIASED_DIGEST = "cf747cb71742337b9aaf6d52caa4726d6eba99d188f84059fdffef596ef6fabc"
 
 
@@ -76,17 +89,30 @@ def test_every_pair_is_pinned():
     assert pairs == set(RUN_DIGESTS)
 
 
-@pytest.mark.parametrize("algorithm,class_name", sorted(RUN_DIGESTS))
-def test_run_outputs(algorithm, class_name, tmp_path, capsys):
+def run_digests(tmp_path, capsys, algorithm, class_name, *extra):
     args = ["run", "--algorithm", algorithm, "--class", class_name, "--n", "8",
             "--trials", "3", "--seed", "0", "--out", str(tmp_path / "runs.csv"),
-            "--debug-instances"]
+            "--debug-instances", *extra]
     if ALGORITHMS[algorithm].k is None:
         args += ["--k", "4"]
     assert cli.main(args) == cli.EXIT_OK
     capsys.readouterr()
-    got = tuple(sha256((tmp_path / name).read_bytes()) for name in OUTPUTS)
+    return tuple(sha256((tmp_path / name).read_bytes()) for name in OUTPUTS)
+
+
+@pytest.mark.parametrize("algorithm,class_name", sorted(RUN_DIGESTS))
+def test_run_outputs(algorithm, class_name, tmp_path, capsys):
+    got = run_digests(tmp_path, capsys, algorithm, class_name)
     assert got == RUN_DIGESTS[algorithm, class_name]
+
+
+@pytest.mark.parametrize("algorithm,class_name,budget", sorted(BUDGET_HIT_DIGESTS))
+def test_budget_hit_outputs(algorithm, class_name, budget, tmp_path, capsys):
+    got = run_digests(tmp_path, capsys, algorithm, class_name, "--budget", budget)
+    assert got == BUDGET_HIT_DIGESTS[algorithm, class_name, budget]
+    with open(tmp_path / "runs.csv") as fh:
+        flags = [line.rstrip("\n").split(",")[-2:] for line in fh][1:]
+    assert flags == [["false", "true"], ["false", "true"], ["true", "false"]]
 
 
 def test_verify_unbiased_stdout(capsys):

@@ -408,6 +408,8 @@ class TestFileRoundTrips:
         ("0,rls,onemax,8,1,,9,true,false", "must be integers"),
         ("0,rls,onemax,8,1,0,nine,true,false", "must be integers"),
         ("0,rls,onemax,8", "must be integers"),
+        ("0,rls,onemax,8,1,0,9,True,False", "must be true or false"),
+        ("0,rls,onemax,8,1,0,9,true,no", "must be true or false"),
     ])
     def test_read_rejects_bad_rows_naming_file_and_line(self, tmp_path, row, complaint):
         path = str(tmp_path / "bad.csv")

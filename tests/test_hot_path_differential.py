@@ -3,10 +3,11 @@
 ``flipOneWhereDifferent`` picks its flipped bit with ``bitcore.nth_set_bit``,
 ``flipKWhereDifferent`` reads the differing positions off the int, and
 monotone evaluation selects weights with ``ndarray.compress``.  Each must
-reproduce the earlier numpy code exactly: the same output word, the same draw
-record, the same generator position afterwards and bit-identical floats, so
-that seeded runs keep their query counts and output bytes.  The earlier code
-is kept here verbatim as the oracle.
+reproduce the earlier numpy code exactly: the same output word, the same
+generator position afterwards and bit-identical floats, so that seeded runs
+keep their query counts and output bytes.  The earlier code is kept here
+verbatim as the oracle; the second value its kernels return is a draw
+record, which the comparisons ignore.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ class TestFlipOneWhereDifferent:
         n, x, y = pair
         rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_operator(FLIP_ONE_WHERE_DIFFERENT, (x, y), n, rng_new)
-        want = _k_flip_one((x, y), n, (), rng_old)
+        want, _ = _k_flip_one((x, y), n, (), rng_old)
         assert got == want
-        assert type(got[1]) is type(want[1])
+        assert type(got) is int
         # both generators stand at the same position of the stream
         assert rng_new.integers(2**63) == rng_old.integers(2**63)
 
@@ -117,9 +118,9 @@ class TestFlipKWhereDifferent:
         ell = data.draw(st.integers(0, n + 1))
         rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_operator(flip_k_id(ell), (x, y), n, rng_new)
-        want = _k_flip_k((x, y), n, (ell,), rng_old)
+        want, _ = _k_flip_k((x, y), n, (ell,), rng_old)
         assert got == want
-        assert all(type(p) is int for p in got[1])
+        assert type(got) is int
         assert rng_new.integers(2**63) == rng_old.integers(2**63)
 
 

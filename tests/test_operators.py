@@ -33,9 +33,9 @@ def bs(s: str) -> BitString:
 
 
 def draw(op, *parents, rng=None) -> BitString:
-    """One output of op on bitstring parents: ``sample_operator(...)[0]``."""
+    """One output of op on bitstring parents, through ``sample_operator``."""
     n = parents[0].n
-    return BitString(n, sample_operator(op, [x.word for x in parents], n, rng)[0])
+    return BitString(n, sample_operator(op, [x.word for x in parents], n, rng))
 
 
 class TestOperatorId:
@@ -126,7 +126,7 @@ class TestSamplerBehavior:
 
     def test_uniform_sample_length(self):
         rng = np.random.default_rng(7)
-        assert BitString(37, sample_operator(UNIFORM_SAMPLE, [], 37, rng)[0]).n == 37
+        assert BitString(37, sample_operator(UNIFORM_SAMPLE, [], 37, rng)).n == 37
 
     def test_length_mismatch(self):
         # parents of different lengths reach no kernel: exact_pmf rejects them
@@ -230,7 +230,7 @@ def _chi_square_vs_pmf(op, inputs, n, samples, seed):
     rng = np.random.default_rng(seed)
     counts: dict = {}
     for _ in range(samples):
-        w, _ = sample_operator(op, words, n, rng)
+        w = sample_operator(op, words, n, rng)
         counts[w] = counts.get(w, 0) + 1
     support = sorted(dist.support, key=lambda b: b.word)
     expected = np.array([dist.prob(b) * samples for b in support])
