@@ -13,6 +13,12 @@ through a table of its images: ``arange(2**n) ^ z`` for an xor shift, and
 ``bitcore.permute_words`` over ``arange(2**n)`` for a permutation.  A push
 only moves entries and sums none, so every probability, deviation and
 report is the one a dict pmf over ``BitString`` outputs gives.
+
+A statistical trial draws its two samples interleaved, every draw through
+``operators.sample_operator``, and then maps and profiles each side in one
+array pass: the first side is pushed through the automorphism by
+``permute_words``, and every sample becomes a row of Hamming distances
+counted by ``np.bitwise_count``.
 """
 
 from __future__ import annotations
@@ -171,13 +177,17 @@ def _trial_case(family: str, n: int, rng) -> tuple[object, list[BitString]]:
     return choose_consistent_sub_id(values), points + [a_lo, a_hi]
 
 
-def _profile_key(word: int, ref_words: list[int]) -> tuple:
-    return (word.bit_count(),) + tuple((word ^ r).bit_count() for r in ref_words)
-
-
 def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     """Two-sample comparison of op(inputs) pushed through an automorphism
-    against op on the transformed inputs.  Returns (p value, max freq diff)."""
+    against op on the transformed inputs.  Returns (p value, max freq diff).
+
+    The loop only draws: the samples of the two sides interleave, each
+    through ``sample_operator``.  Afterwards the samples are mapped and
+    profiled in one pass over an object array, which holds words of any n:
+    side 1 is pushed through the automorphism, and every sample becomes its
+    popcount and its distances to the transformed inputs.  The cells are the
+    distinct profiles in ascending lexicographic order.
+    """
     op, inputs = _trial_case(family, n, rng)
     sigma = Permutation.random(n, rng)
     z = _rand_bs(n, rng)
@@ -189,19 +199,16 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
         else lambda ws, m, g: sample_operator(op, ws, m, g)
     )
     in_words = [b.word for b in inputs]
-    counts1: dict = {}
-    counts2: dict = {}
+    w1, w2 = [], []
     for _ in range(samples):
-        w1 = sample(in_words, n, rng)
-        m1 = (apply_permutation(sigma, BitString(n, w1)) ^ z).word
-        k1 = _profile_key(m1, ref)
-        counts1[k1] = counts1.get(k1, 0) + 1
-        w2 = sample(ref, n, rng)
-        k2 = _profile_key(w2, ref)
-        counts2[k2] = counts2.get(k2, 0) + 1
-    keys = sorted(counts1.keys() | counts2.keys())
-    c1 = np.array([counts1.get(k, 0) for k in keys], dtype=float)
-    c2 = np.array([counts2.get(k, 0) for k in keys], dtype=float)
+        w1.append(sample(in_words, n, rng))
+        w2.append(sample(ref, n, rng))
+    m1 = permute_words(sigma, np.array(w1, dtype=object)) ^ z.word
+    words = np.concatenate([m1, np.array(w2, dtype=object)])
+    rows = [np.bitwise_count(words)] + [np.bitwise_count(words ^ r) for r in ref]
+    cells, cell = np.unique(np.array(rows, dtype=np.int64).T, axis=0, return_inverse=True)
+    c1 = np.bincount(cell[:samples], minlength=len(cells)).astype(float)
+    c2 = np.bincount(cell[samples:], minlength=len(cells)).astype(float)
     dev = float(np.max(np.abs(c1 - c2)) / samples)
     # merge sparse cells so the chi-square approximation is sound
     keep = (c1 + c2) >= 10

@@ -7,6 +7,11 @@ and every report must be the one the earlier dict-of-``BitString`` code gave,
 and the generator must stand at the same place afterwards.  The earlier
 ``OutputDistribution`` (with ``push`` and ``max_deviation``), ``exact_pmf``
 and the two checks are kept here verbatim as the oracle.
+
+Statistical certification draws its samples in a loop and profiles them in
+one array pass.  The earlier per-sample loop, ``_statistical_trial`` with
+``_profile_key``, is kept here verbatim as its oracle: every p value, every
+deviation and the generator state after a trial must be the same.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from arityopt import unbiasedness
 from arityopt.bitcore import (
@@ -29,6 +35,7 @@ from arityopt.bitcore import (
     permute_words,
 )
 from arityopt.consistency import (
+    ENUMERATION_DIM_LIMIT,
     ExactEnumerationUnavailable,
     block_projection,
     consistent_words,
@@ -54,6 +61,9 @@ from arityopt.unbiasedness import (
 )
 
 FAMILIES = SHIPPED_OPERATOR_FAMILIES + (NEGATIVE_CONTROL_NAME,)
+_trial_case = unbiasedness._trial_case
+_rand_bs = unbiasedness._rand_bs
+_control_sample = unbiasedness._control_sample
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,50 @@ def dict_check_perm_invariance(op, inputs, sigma: Permutation) -> tuple[bool, fl
     return dev <= EXACT_TOLERANCE, dev
 
 
+def _profile_key(word: int, ref_words: list[int]) -> tuple:
+    return (word.bit_count(),) + tuple((word ^ r).bit_count() for r in ref_words)
+
+
+def loop_statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
+    """Two-sample comparison of op(inputs) pushed through an automorphism
+    against op on the transformed inputs.  Returns (p value, max freq diff)."""
+    op, inputs = _trial_case(family, n, rng)
+    sigma = Permutation.random(n, rng)
+    z = _rand_bs(n, rng)
+    t_inputs = [apply_permutation(sigma, x) ^ z for x in inputs]
+    ref = [b.word for b in t_inputs]
+    sample = (
+        _control_sample
+        if op.name == NEGATIVE_CONTROL_NAME
+        else lambda ws, m, g: sample_operator(op, ws, m, g)
+    )
+    in_words = [b.word for b in inputs]
+    counts1: dict = {}
+    counts2: dict = {}
+    for _ in range(samples):
+        w1 = sample(in_words, n, rng)
+        m1 = (apply_permutation(sigma, BitString(n, w1)) ^ z).word
+        k1 = _profile_key(m1, ref)
+        counts1[k1] = counts1.get(k1, 0) + 1
+        w2 = sample(ref, n, rng)
+        k2 = _profile_key(w2, ref)
+        counts2[k2] = counts2.get(k2, 0) + 1
+    keys = sorted(counts1.keys() | counts2.keys())
+    c1 = np.array([counts1.get(k, 0) for k in keys], dtype=float)
+    c2 = np.array([counts2.get(k, 0) for k in keys], dtype=float)
+    dev = float(np.max(np.abs(c1 - c2)) / samples)
+    # merge sparse cells so the chi-square approximation is sound
+    keep = (c1 + c2) >= 10
+    a = np.concatenate([c1[keep], [c1[~keep].sum()]])
+    b = np.concatenate([c2[keep], [c2[~keep].sum()]])
+    nz = (a + b) > 0
+    a, b = a[nz], b[nz]
+    if a.size < 2:
+        return 1.0, dev
+    _, p, _, _ = stats.chi2_contingency(np.vstack([a, b]))
+    return float(p), dev
+
+
 @st.composite
 def cases(draw):
     """(n, operator, inputs, z, sigma): one certification trial's case from
@@ -266,6 +320,45 @@ class TestChecksMatchDictPmfs:
                 fn(COMPLEMENT, [BitString.zeros(6), BitString.zeros(6)], t)
             with pytest.raises(ExactEnumerationUnavailable):
                 fn(COMPLEMENT, [BitString.zeros(17)], big)
+
+
+STATISTICAL_NS = (1, 2, 8, 16, 17, 20, 24, 64, 65, 100)
+
+
+class TestStatisticalTrialMatchesLoop:
+    """The array pass against the per-sample loop, at lengths on both sides
+    of the exact limit (16), the enumeration limit (24) and a 64-bit word."""
+
+    @pytest.mark.parametrize("n", STATISTICAL_NS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_p_deviation_and_generator_state(self, family, n):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n])
+            ref_rng = np.random.default_rng([seed, n])
+            if family == "chooseConsistent" and n > ENUMERATION_DIM_LIMIT:
+                for fn, g in ((unbiasedness._statistical_trial, rng),
+                              (loop_statistical_trial, ref_rng)):
+                    with pytest.raises(ExactEnumerationUnavailable):
+                        fn(family, n, g, samples=2000)
+                continue
+            got = unbiasedness._statistical_trial(family, n, rng, samples=2000)
+            want = loop_statistical_trial(family, n, ref_rng, samples=2000)
+            assert repr(got) == repr(want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.sampled_from((1, 2, 8, 17, 20)),
+           st.integers(1, 2), st.integers(0, 2**64 - 1))
+    def test_same_statistical_report_and_generator_state(self, family, n, trials, seed):
+        rng = np.random.default_rng(seed)
+        got = certify_operator(family, n, trials, rng, mode="statistical")
+        ref_rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(unbiasedness, "_statistical_trial", loop_statistical_trial)
+            want = certify_operator(family, n, trials, ref_rng, mode="statistical")
+        assert got == want
+        assert repr(got.worst_deviation) == repr(want.worst_deviation)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPushDirection:

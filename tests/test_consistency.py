@@ -72,6 +72,70 @@ class TestConsistentSet:
             ConsistencyQuery(3, (bs("000"),), (4,))
 
 
+def brute_force_words(dim, pts, vals) -> list[int]:
+    return [
+        c
+        for c in range(1 << dim)
+        if all(dim - (c ^ p).bit_count() == v for p, v in zip(pts, vals))
+    ]
+
+
+class TestConsistentWordsMemo:
+    """consistent_words keeps its last two distinct results, read-only."""
+
+    @pytest.mark.parametrize("dim, pts, vals", [
+        (6, [5], [3]),      # one filter pass
+        (14, [5, 9], [7, 8]),  # the join
+        (6, [0, 0], [0, 6]),  # empty
+    ])
+    def test_returned_array_is_read_only(self, dim, pts, vals):
+        words = consistent_words(dim, pts, vals)
+        with pytest.raises(ValueError):
+            words[...] = 0
+        with pytest.raises(ValueError):
+            words.sort()
+        assert consistent_words(dim, pts, vals).tolist() == brute_force_words(dim, pts, vals)
+
+    def test_repeat_call_with_any_sequence_type(self):
+        dim, pts, vals = 14, [3, 4000, 777], [7, 6, 9]
+        first = consistent_words(dim, pts, vals)
+        for args in (
+            (pts, vals),
+            (tuple(pts), tuple(vals)),
+            (np.array(pts, dtype=np.uint32), np.array(vals, dtype=np.int64)),
+            ([np.int64(p) for p in pts], [np.uint8(v) for v in vals]),
+        ):
+            again = consistent_words(dim, *args)
+            assert again is first
+            np.testing.assert_array_equal(again, brute_force_words(dim, pts, vals))
+
+    def test_invalid_input_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ExactEnumerationUnavailable):
+                consistent_words(ENUMERATION_DIM_LIMIT + 1, [], [])
+            with pytest.raises(ValueError, match="2 points vs 1 values"):
+                consistent_words(8, [1, 2], [3])
+            consistent_words(8, [1], [3])
+
+    @pytest.mark.parametrize("dim", [7, 13])
+    def test_matches_fresh_enumeration_after_a_third_key(self, dim):
+        # Keys 0 and 1 share their points and differ in values; key 2 is
+        # key 0's points and values one dimension up.
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            pts = [int(w) for w in rng.integers(1 << dim, size=int(rng.integers(1, 4)))]
+            keys = []
+            for _ in range(2):
+                z = int(rng.integers(1 << dim))
+                keys.append((dim, pts, [dim - (z ^ p).bit_count() for p in pts]))
+            keys.append((dim + 1,) + keys[0][1:])
+            want = [brute_force_words(*key) for key in keys]
+            for i in [0, 1, 0, 1, 2, 0, 2, 1, 1, 2]:
+                got = consistent_words(*keys[i])
+                assert got.tolist() == want[i]
+                assert not got.flags.writeable
+
+
 class TestChooseConsistent:
     def test_output_is_always_consistent(self):
         rng = np.random.default_rng(5)
