@@ -9,6 +9,12 @@ values and handles.  Any operator whose arity exceeds the configured maximum
 rejects the run.  A handle is the int position of its point in the oracle's
 query history, which is the only store of queried points.
 
+A run's cost is its number of queries up to and including the first one
+that reaches an optimum.  The engine enforces that in one place: it raises
+:class:`OptimumReached` right after recording such a query, on OneMax and
+LeadingOnes, where the optimal value is n.  Monotone instances have no
+target, and there a run ends when binary pair descent has kept n flips.
+
 Policies implemented on top: a binary-operator OneMax optimizer (also sound
 on any monotone agreement function), an unrestricted-arity sampling optimizer
 for small n, a k-ary block optimizer with its subset subroutine, a binary
@@ -43,6 +49,7 @@ from .problems import BudgetExhausted, Oracle
 
 __all__ = [
     "ModelViolation",
+    "OptimumReached",
     "PolicyFailure",
     "EngineState",
     "PolicyView",
@@ -61,6 +68,10 @@ __all__ = [
 
 class ModelViolation(RuntimeError):
     """An operator's arity exceeded the configured maximum for the run."""
+
+
+class OptimumReached(Exception):
+    """Ends a run: the query just recorded reached the run's optimal value."""
 
 
 class PolicyFailure(RuntimeError):
@@ -95,12 +106,16 @@ class EngineState:
             raise ValueError(f"max_arity must be positive or None, got {max_arity}")
         self.max_arity = max_arity
         self.n = oracle.n
+        # the optimal value: n on OneMax and LeadingOnes, none on monotone
+        self._target = None if oracle.debug_instance.kind == "monotone" else oracle.n
         self._query = oracle._query_word
         self._points = oracle._words
 
     def apply(self, op: OperatorId, parents, rng) -> tuple[int, float]:
         """Sample op on the referenced parents and query the result through
-        the oracle, which records it; returns (handle, fitness)."""
+        the oracle, which records it; returns (handle, fitness), or raises
+        OptimumReached once that query is recorded if its fitness is the
+        target."""
         if self.max_arity is not None and op.arity > self.max_arity:
             raise ModelViolation(
                 f"{op.name} has arity {op.arity}, run allows at most {self.max_arity}"
@@ -113,7 +128,10 @@ class EngineState:
                 raise ValueError(f"invalid point handle {h}")
             words.append(pts[h])
         # the oracle checks the budget before it appends word and fitness
-        return m, self._query(sample_operator(op, words, self.n, rng))
+        fit = self._query(sample_operator(op, words, self.n, rng))
+        if fit == self._target:
+            raise OptimumReached
+        return m, fit
 
     @property
     def view(self) -> "PolicyView":
@@ -145,113 +163,80 @@ def subset_round_count(ell: int) -> int:
     return min(ell - 2, round_count(ell))
 
 
-# Policies.  Each returns the handle of the final (optimal) point; every
-# query's fitness is checked against the known optimum so a run stops the
-# moment the optimum has been queried, which is what the query-count cost
-# model charges for.
+# Policies.  A run ends in the engine, at its first optimal query, or on
+# monotone when binary pair descent returns after n kept flips; no policy
+# compares a fitness with the optimum.
 
 
-def policy_binary_onemax(view: PolicyView, rng, *, acceptance_stop: bool = False):
-    """Coin-flip pair descent: x against its complement, one differing bit
-    flipped per query, strict improvements kept.
-
-    With ``acceptance_stop`` the loop ends after n accepted flips (the pair
-    has collapsed to one point), which requires no knowledge of the optimal
-    value; otherwise it ends when a query reaches fitness n.
-    """
-    n = view.n
+def _anchor_pair(view: PolicyView, rng):
+    """The opening of every pair policy: a uniform sample x, then its
+    complement y.  Returns (hx, fx, hy, fy)."""
     hx, fx = view.apply(UNIFORM_SAMPLE, (), rng)
-    if not acceptance_stop and fx == n:
-        return hx
     hy, fy = view.apply(COMPLEMENT, (hx,), rng)
-    if not acceptance_stop and fy == n:
-        return hy
-    accepted = 0
-    while True:
-        if acceptance_stop:
-            if accepted == n:
-                return hx
-        elif fx == n:
-            return hx
-        elif fy == n:
-            return hy
+    return hx, fx, hy, fy
+
+
+def _pair_descent(view: PolicyView, rng, flips, hx, fx, hy, fy):
+    """Coin-flip pair descent: one bit where x and y differ is flipped in x
+    or in y per query, and strict improvements are kept, until ``flips`` are
+    kept.  Returns (hx, fx)."""
+    kept = 0
+    while kept < flips:
         if rng.random() < 0.5:
             h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (hx, hy), rng)
             if f2 > fx:
                 hx, fx = h2, f2
-                accepted += 1
+                kept += 1
         else:
             h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (hy, hx), rng)
             if f2 > fy:
                 hy, fy = h2, f2
-                accepted += 1
+                kept += 1
+    return hx, fx
+
+
+def policy_binary_onemax(view: PolicyView, rng):
+    """Pair descent from x against its complement until n kept flips, when
+    the pair has collapsed to one point; needs no optimal value."""
+    _pair_descent(view, rng, view.n, *_anchor_pair(view, rng))
 
 
 def policy_star_ary_onemax(view: PolicyView, rng):
     """Each round: draw round_count(n) uniform samples, then one consistent
-    hypothesis conditioned on their values; stop when a query hits n."""
-    n = view.n
-    t = round_count(n)
+    hypothesis conditioned on their values."""
+    t = round_count(view.n)
     while True:
-        handles = []
-        values = []
+        handles, values = [], []
         for _ in range(t):
             h, f = view.apply(UNIFORM_SAMPLE, (), rng)
-            if f == n:
-                return h
             handles.append(h)
             values.append(int(f))
-        hw, fw = view.apply(choose_consistent_id(values), tuple(handles), rng)
-        if fw == n:
-            return hw
+        view.apply(choose_consistent_id(values), tuple(handles), rng)
 
 
 def _subset_policy(view: PolicyView, rng, ell, h_abar, f_abar, h_a, f_a):
     """Solve the ell-bit block on which the two anchors differ.
 
     Returns (handle, fitness) of a point carrying the fully correct block and
-    the anchors' shared suffix; fitness n means the whole optimum was hit.
-    For ell <= 2 the sampling round size degenerates, so the block is solved
-    by the binary pair-descent restricted to the anchor pair.
+    the anchors' shared suffix.  For ell <= 2 the sampling round size
+    degenerates, so the block is solved by pair descent on the anchor pair.
     """
-    n = view.n
     if ell <= 2:
-        ha, fa = h_a, f_a
-        hb, fb = h_abar, f_abar
-        accepted = 0
-        while accepted < ell:
-            if rng.random() < 0.5:
-                h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (ha, hb), rng)
-                if f2 == n:
-                    return h2, f2
-                if f2 > fa:
-                    ha, fa = h2, f2
-                    accepted += 1
-            else:
-                h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (hb, ha), rng)
-                if f2 == n:
-                    return h2, f2
-                if f2 > fb:
-                    hb, fb = h2, f2
-                    accepted += 1
-        return ha, fa
+        return _pair_descent(view, rng, ell, h_a, f_a, h_abar, f_abar)
     r = subset_round_count(ell)
     # Shared suffix contribution; block-level values are fitnesses minus this.
     f_sigma = (int(f_a) + int(f_abar) - ell) // 2
     target = ell + f_sigma
     while True:
-        handles = []
-        values = []
+        handles, values = [], []
         for _ in range(r):
             h2, f2 = view.apply(RANDOM_WHERE_DIFFERENT, (h_a, h_abar), rng)
-            if f2 == n:
-                return h2, f2
             handles.append(h2)
             values.append(int(f2) - f_sigma)
         hw, fw = view.apply(
             choose_consistent_sub_id(values), tuple(handles) + (h_abar, h_a), rng
         )
-        if fw == n or fw == target:
+        if fw == target:
             return hw, fw
 
 
@@ -259,26 +244,12 @@ def policy_kary_onemax(view: PolicyView, rng, k: int):
     """Block decomposition: correct ceil(n/k) blocks of up to k positions,
     each solved by subset sampling between the pair and merged back in."""
     n = view.n
-    hx, fx = view.apply(UNIFORM_SAMPLE, (), rng)
-    if fx == n:
-        return hx
-    hy, fy = view.apply(COMPLEMENT, (hx,), rng)
-    if fy == n:
-        return hy
-    tau = math.ceil(n / k)
-    for t in range(1, tau + 1):
-        ell = min(k, n - k * (t - 1))
+    hx, _, hy, fy = _anchor_pair(view, rng)
+    for start in range(0, n, k):
+        ell = min(k, n - start)
         hz, fz = view.apply(flip_k_id(ell), (hx, hy), rng)
-        if fz == n:
-            return hz
-        hw, fw = _subset_policy(view, rng, ell, hy, fy, hz, fz)
-        if fw == n:
-            return hw
-        hm, fm = view.apply(UPDATE, (hx, hw, hz), rng)
-        if fm == n:
-            return hm
-        hx, fx = hm, fm
-        hy, fy = hw, fw
+        hy, fy = _subset_policy(view, rng, ell, hy, fy, hz, fz)
+        hx, _ = view.apply(UPDATE, (hx, hy, hz), rng)
     raise PolicyFailure("block decomposition ended without querying the optimum")
 
 
@@ -286,40 +257,28 @@ def policy_binary_leadingones(view: PolicyView, rng):
     """Critical-pair binary search: the pair (x, y) agrees exactly on y's
     correct prefix; each outer round lifts y past its first wrong position
     via halving steps, then reorients the pair."""
-    n = view.n
-    hx, fx = view.apply(UNIFORM_SAMPLE, (), rng)
-    if fx == n:
-        return hx
-    hy, fy = view.apply(COMPLEMENT, (hx,), rng)
-    if fy == n:
-        return hy
+    hx, fx, hy, fy = _anchor_pair(view, rng)
     if fy > fx:
         (hx, fx), (hy, fy) = (hy, fy), (hx, fx)
     while fx != fy:
         hp, fp = hx, fx
         while fy != fp:
             h2, f2 = view.apply(RANDOM_WHERE_DIFFERENT, (hy, hp), rng)
-            if f2 == n:
-                return h2
             if f2 > fy:
                 hp, fp = h2, f2
             hy, fy = view.apply(SWITCH_IF_DISTANCE_ONE, (hy, hp), rng)
         if fy > fx:
             (hx, fx), (hy, fy) = (hy, fy), (hx, fx)
-    if fx != n:
-        raise PolicyFailure("critical pair closed below the optimum")
-    return hx
+    raise PolicyFailure("critical pair closed below the optimum")
 
 
 def policy_rls(view: PolicyView, rng):
     """Random local search baseline: flip one uniform bit, keep ties."""
-    n = view.n
     hx, fx = view.apply(UNIFORM_SAMPLE, (), rng)
-    while fx != n:
+    while True:
         h2, f2 = view.apply(FLIP_ONE_UNIFORM, (hx,), rng)
         if f2 >= fx:
             hx, fx = h2, f2
-    return hx
 
 
 # The algorithm registry, and the runners: each checks its run against the
@@ -334,7 +293,7 @@ class Algorithm:
     ``k`` is the value of the runs CSV's k column, and the arity bound
     follows from it: 2 is binary, 1 unary, 0 unrestricted, and None means
     the run's own k, with 3 <= k <= ENUMERATION_DIM_LIMIT.  ``policy`` takes
-    (view, rng, class name, k).  ``runner`` names the public run function,
+    (view, rng, k).  ``runner`` names the public run function,
     ``theory_model`` the ``bounds.theory_curve`` of its summary rows, and
     ``max_n`` caps n for a policy that enumerates all of {0,1}^n.
     """
@@ -372,29 +331,26 @@ ALGORITHMS = {
     for spec in (
         Algorithm(
             "binary_onemax", "run_binary_onemax",
-            lambda v, rng, kind, k: policy_binary_onemax(
-                v, rng, acceptance_stop=kind == "monotone"
-            ),
+            lambda v, rng, k: policy_binary_onemax(v, rng),
             ("onemax", "monotone"), 2, "linear_2n",
         ),
         Algorithm(
             "star_ary_onemax", "run_star_ary_onemax",
-            lambda v, rng, kind, k: policy_star_ary_onemax(v, rng),
+            lambda v, rng, k: policy_star_ary_onemax(v, rng),
             ("onemax",), 0, "star_ary", ENUMERATION_DIM_LIMIT,
         ),
         Algorithm(
-            "kary_onemax", "run_kary_onemax",
-            lambda v, rng, kind, k: policy_kary_onemax(v, rng, k),
+            "kary_onemax", "run_kary_onemax", policy_kary_onemax,
             ("onemax",), None, "n_over_logk",
         ),
         Algorithm(
             "binary_leadingones", "run_binary_leadingones",
-            lambda v, rng, kind, k: policy_binary_leadingones(v, rng),
+            lambda v, rng, k: policy_binary_leadingones(v, rng),
             ("leadingones",), 2, "nlogn",
         ),
         Algorithm(
             "rls", "run_rls_baseline",
-            lambda v, rng, kind, k: policy_rls(v, rng),
+            lambda v, rng, k: policy_rls(v, rng),
             ("onemax", "leadingones"), 1, None,
         ),
     )
@@ -410,9 +366,11 @@ def _run(name: str, n: int, k: int | None, oracle: Oracle, rng, seed: int) -> Ru
     if spec.k is not None:
         k = spec.k
     engine = EngineState(oracle, k or None)
+    success, hit = True, False
     try:
-        spec.policy(engine.view, rng, kind, k)
-        success, hit = True, False
+        spec.policy(engine.view, rng, k)
+    except OptimumReached:
+        pass
     except BudgetExhausted:
         success, hit = False, True
     return RunRecord(name, kind, n, k, seed, oracle.query_count, success, hit)

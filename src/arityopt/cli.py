@@ -145,7 +145,7 @@ def _cmd_run(args) -> int:
     records = run_experiment(cfg)
     summaries = summarize(records)
     if args.out:
-        paths = emit_report(records, summaries, {}, args.out)
+        paths = emit_report(records, summaries, args.out)
         if args.debug_instances:
             inst_path = output_stem(args.out) + ".instances.json"
             with open(inst_path, "w") as fh:
@@ -161,6 +161,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_unbiased(args) -> int:
+    for flag, value in (("--n", args.n), ("--trials", args.trials)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be positive, got {value}")
     rng = np.random.default_rng(args.seed)
     names = SHIPPED_OPERATOR_FAMILIES + (NEGATIVE_CONTROL_NAME,)
     reports = [certify_operator(name, args.n, args.trials, rng) for name in names]
@@ -226,7 +229,7 @@ def _cmd_report(args) -> int:
     write_summary_csv(summaries, args.out)
     print(f"wrote {args.out}")
     json_path = output_stem(args.out) + ".report.json"
-    write_report_json(summaries, {}, json_path)
+    write_report_json(summaries, json_path)
     print(f"wrote {json_path}")
     return EXIT_OK
 

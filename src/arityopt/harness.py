@@ -353,11 +353,11 @@ def _report_paths(path: str) -> tuple[str, str, str]:
     return path, base + ".summary.csv", base + ".report.json"
 
 
-def write_report_json(summaries, fits: dict, path: str) -> None:
+def write_report_json(summaries, path: str) -> None:
     """JSON report with sorted keys and fixed layout: identical inputs,
-    identical bytes.  ``fits`` maps model name to (a, residual)."""
+    identical bytes.  ``fits`` is kept in the layout and always empty."""
     report = {
-        "fits": {model: {"a": a, "residual": res} for model, (a, res) in fits.items()},
+        "fits": {},
         "summaries": [
             {f.name: getattr(r, f.name) for f in fields(SummaryRow)} for r in summaries
         ],
@@ -367,10 +367,10 @@ def write_report_json(summaries, fits: dict, path: str) -> None:
         fh.write("\n")
 
 
-def emit_report(records, summaries, fits: dict, path: str) -> dict:
+def emit_report(records, summaries, path: str) -> dict:
     """Write runs CSV, summary CSV, and a JSON report; returns their paths."""
     runs_path, summary_path, json_path = _report_paths(path)
     write_runs_csv(records, runs_path)
     write_summary_csv(summaries, summary_path)
-    write_report_json(summaries, fits, json_path)
+    write_report_json(summaries, json_path)
     return {"runs": runs_path, "summary": summary_path, "report": json_path}

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import stats
 
 from .bitcore import BitString, Permutation, apply_permutation, permute_words, random_word
-from .consistency import ExactEnumerationUnavailable
+from .consistency import ExactEnumerationUnavailable, embed_word
 from .operators import (
     EXACT_PMF_LIMIT,
     OPERATORS,
@@ -159,20 +159,14 @@ def _trial_case(family: str, n: int, rng) -> tuple[object, list[BitString]]:
     ell = int(rng.integers(1, min(n, 6) + 1))
     r = int(rng.integers(1, 4))
     a_lo = _rand_bs(n, rng)
-    block = rng.choice(n, size=ell, replace=False)
-    mask = 0
-    for p in block:
-        mask |= 1 << int(p)
+    block = sorted(int(p) for p in rng.choice(n, size=ell, replace=False))
+    mask = sum(1 << p for p in block)
     a_hi = BitString(n, a_lo.word ^ mask)
     outside = a_lo.word & ~mask
-    points = []
-    for _ in range(r):
-        blk = int(rng.integers(0, 1 << ell))
-        w = outside
-        for j, p in enumerate(sorted(int(q) for q in block)):
-            if (blk >> j) & 1:
-                w |= 1 << p
-        points.append(BitString(n, w))
+    points = [
+        BitString(n, embed_word(int(rng.integers(0, 1 << ell)), block, outside))
+        for _ in range(r)
+    ]
     values = [int(rng.integers(0, ell + 1)) for _ in range(r)]
     return choose_consistent_sub_id(values), points + [a_lo, a_hi]
 
@@ -234,6 +228,8 @@ def certify_operator(op, n: int, trials: int, rng, mode: str | None = None) -> C
     family = op if isinstance(op, str) else op.name
     if family != NEGATIVE_CONTROL_NAME and family not in SHIPPED_OPERATOR_FAMILIES:
         raise ValueError(f"unknown operator family {family!r}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got n={n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if mode is None:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arityopt import algorithms
 from arityopt.algorithms import (
+    ALGORITHMS,
     EngineState,
     ModelViolation,
+    OptimumReached,
     PolicyFailure,
     _subset_policy,
     default_budget,
@@ -50,13 +53,18 @@ def split_rng(seed: int):
 
 
 def record_applications(engine: EngineState) -> list:
-    """Wrap ``engine.apply`` so that each application that got its query
-    appends (op, parents); take ``engine.view`` after this."""
+    """Wrap ``engine.apply`` so that each application that got its query,
+    the optimal one included, appends (op, parents); take ``engine.view``
+    after this."""
     calls = []
     apply = engine.apply
 
     def recording(op, parents, rng):
-        out = apply(op, parents, rng)
+        try:
+            out = apply(op, parents, rng)
+        except OptimumReached:
+            calls.append((op, tuple(parents)))
+            raise
         calls.append((op, tuple(parents)))
         return out
 
@@ -271,13 +279,65 @@ class TestRunners:
         assert a_hist == b_hist
 
 
+STOP_RULE_CASES = [
+    (name, class_name, n)
+    for name, spec in ALGORITHMS.items()
+    for class_name in spec.classes
+    if class_name != "monotone"
+    for n in (1, 7, 16)
+]
+
+
+class TestStopRule:
+    """The cost model: a run's queries end with its first optimal query."""
+
+    @pytest.mark.parametrize("name,class_name,n", STOP_RULE_CASES)
+    def test_run_ends_at_first_optimal_query(self, name, class_name, n):
+        spec = ALGORITHMS[name]
+        runner = getattr(algorithms, spec.runner)
+        for seed in range(3):
+            oracle = make_oracle(class_name, n, seed)
+            args = (n,) if spec.k is not None else (n, 3)
+            record = runner(*args, oracle, split_rng(seed), seed=seed)
+            values = [f for _, f in oracle.history]
+            assert record.success and n in values
+            assert record.queries == oracle.query_count == 1 + values.index(n)
+
+    @pytest.mark.parametrize("n", (1, 9, 30))
+    def test_binary_onemax_on_monotone_ends_after_n_kept_flips(self, n, monkeypatch):
+        parents = []
+        apply = EngineState.apply
+
+        def recording(engine, op, ps, rng):
+            out = apply(engine, op, ps, rng)
+            parents.append(tuple(ps))
+            return out
+
+        monkeypatch.setattr(EngineState, "apply", recording)
+        for seed in range(3):
+            parents.clear()
+            oracle = make_oracle("monotone", n, seed)
+            record = run_binary_onemax(n, oracle, split_rng(seed), seed=seed)
+            values = [f for _, f in oracle.history]
+            assert record.success and record.queries == len(parents)
+            pair, kept = [0, 1], 0
+            for i in range(2, len(parents)):
+                side = pair.index(parents[i][0])
+                if values[i] > values[pair[side]]:
+                    pair[side] = i
+                    kept += 1
+            assert kept == n
+            assert record.queries - 1 in pair
+
+
 class TestBinaryOneMaxInvariant:
     def test_agreed_positions_hold_optimal_bits(self):
         # replay the applications: wherever x and y agree, both carry z's bit
         oracle = make_oracle("onemax", 20, seed=14)
         e = EngineState(oracle, max_arity=2)
         calls = record_applications(e)
-        policy_binary_onemax(e.view, split_rng(14))
+        with pytest.raises(OptimumReached):
+            policy_binary_onemax(e.view, split_rng(14))
         assert len(calls) == oracle.query_count
         z = oracle.debug_instance.z
         full = (1 << z.n) - 1
@@ -305,7 +365,8 @@ class TestBinaryOneMaxInvariant:
         oracle = make_oracle("onemax", 16, seed=15)
         e = EngineState(oracle, max_arity=2)
         calls = record_applications(e)
-        policy_binary_onemax(e.view, split_rng(15))
+        with pytest.raises(OptimumReached):
+            policy_binary_onemax(e.view, split_rng(15))
         assert len(calls) == oracle.query_count
         accepted = 0
         history = oracle.history
@@ -355,7 +416,8 @@ class TestLeadingOnesProgress:
         # track the running best fitness; it must be monotone across outer swaps
         oracle = make_oracle("leadingones", 24, seed=27)
         e = EngineState(oracle, max_arity=2)
-        policy_binary_leadingones(e.view, split_rng(27))
+        with pytest.raises(OptimumReached):
+            policy_binary_leadingones(e.view, split_rng(27))
         fits = [f for _, f in oracle.history]
         best_seen = 0.0
         for f in fits:

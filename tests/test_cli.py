@@ -120,6 +120,18 @@ class TestVerifyUnbiased:
         assert "fail (negative control)" in proc.stdout
         assert proc.stdout.count("pass") >= 10
 
+    @pytest.mark.parametrize("args,flag", [
+        (("--n", "0"), "--n"),
+        (("--n", "-3"), "--n"),
+        (("--trials", "0"), "--trials"),
+    ])
+    def test_bad_input_exits_1(self, args, flag):
+        proc = run_cli("verify-unbiased", *args)
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert f"{flag} must be positive, got {args[1]}" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestCheckBound:
     def test_large_n_holds(self):

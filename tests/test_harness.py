@@ -367,18 +367,16 @@ class TestFileRoundTrips:
 
     def test_empty_records_still_write_headers(self, tmp_path):
         path = str(tmp_path / "empty.csv")
-        paths = emit_report([], [], {}, path)
+        paths = emit_report([], [], path)
         assert open(paths["runs"]).read().rstrip("\n") == RUNS_HEADER
         assert open(paths["summary"]).read().rstrip("\n") == SUMMARY_HEADER
         assert json.load(open(paths["report"])) == {"fits": {}, "summaries": []}
 
     def test_report_json_structure(self, tmp_path):
         records = synthetic_records([(10, [20]), (20, [40]), (40, [80])])
-        summaries = summarize(records)
-        fits = {"a_n": fit_curve(records, "a_n")}
-        paths = emit_report(records, summaries, fits, str(tmp_path / "out.csv"))
+        paths = emit_report(records, summarize(records), str(tmp_path / "out.csv"))
         data = json.load(open(paths["report"]))
-        assert data["fits"]["a_n"]["a"] == pytest.approx(2.0)
+        assert data["fits"] == {}
         assert len(data["summaries"]) == 3
         assert data["summaries"][0]["theory_value"] == pytest.approx(20.0)
 
@@ -388,7 +386,7 @@ class TestFileRoundTrips:
             for i, q in enumerate((10, 11, 13))
         ]
         path = str(tmp_path / "digits.csv")
-        emit_report(records, summarize(records), {}, path)
+        emit_report(records, summarize(records), path)
         with open(str(tmp_path / "digits.summary.csv")) as fh:
             row = list(csv.DictReader(fh))[0]
         # mean 34/3 rendered to 9 significant digits
@@ -425,8 +423,8 @@ class TestFileRoundTrips:
         records = synthetic_records([(8, [10, 12])])
         p1 = str(tmp_path / "r1.csv")
         p2 = str(tmp_path / "r2.csv")
-        emit_report(records, summarize(records), {}, p1)
-        emit_report(records, summarize(records), {}, p2)
+        emit_report(records, summarize(records), p1)
+        emit_report(records, summarize(records), p2)
         assert open(p1).read() == open(p2).read()
         assert (
             open(str(tmp_path / "r1.report.json")).read()

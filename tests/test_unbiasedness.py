@@ -108,3 +108,9 @@ class TestCertifyOperator:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
             certify_operator("complement", 6, 0, rng)
+
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_n_validated(self, n):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match=f"n={n}"):
+            certify_operator("complement", n, 5, rng)
