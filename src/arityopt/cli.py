@@ -164,6 +164,8 @@ def _cmd_verify_unbiased(args) -> int:
     for flag, value in (("--n", args.n), ("--trials", args.trials)):
         if value < 1:
             raise ConfigError(f"{flag} must be positive, got {value}")
+    if args.n > ENUMERATION_DIM_LIMIT:
+        raise ConfigError(f"--n must be at most the enumeration limit {ENUMERATION_DIM_LIMIT}, got {args.n}")
     rng = np.random.default_rng(args.seed)
     names = SHIPPED_OPERATOR_FAMILIES + (NEGATIVE_CONTROL_NAME,)
     reports = [certify_operator(name, args.n, args.trials, rng) for name in names]

@@ -36,7 +36,11 @@ __all__ = [
     "ExactEnumerationUnavailable",
     "ConsistencyQuery",
     "consistent_set",
-    "choose_consistent",
+    "consistent_words",
+    "choose_consistent_word",
+    "choose_consistent_sub_word",
+    "block_projection",
+    "embed_word",
     "ENUMERATION_DIM_LIMIT",
 ]
 
@@ -180,29 +184,17 @@ def choose_consistent_word(dim: int, point_words, values, rng: np.random.Generat
     return int(survivors[int(rng.integers(survivors.size))])
 
 
-def choose_consistent(q: ConsistencyQuery, rng: np.random.Generator) -> BitString:
-    """Uniform draw from consistent_set(q); uniform over {0,1}^dim if empty."""
-    word = choose_consistent_word(q.dim, [p.word for p in q.points], q.values, rng)
-    return BitString(q.dim, word)
+def embed_word(small, positions, base: int):
+    """Write bit j of ``small`` into ``base`` at ``positions[j]``, for each j.
 
-
-def project_word(word: int, positions) -> int:
-    """Compress the bits of ``word`` at ``positions`` into a small word."""
-    out = 0
-    for j, p in enumerate(positions):
-        if (word >> p) & 1:
-            out |= 1 << j
-    return out
-
-
-def embed_word(small: int, positions, base: int) -> int:
-    """Write the bits of ``small`` into ``base`` at ``positions``."""
+    ``small`` is an int, or an integer array embedded elementwise into int64.
+    """
     out = base
+    if isinstance(small, np.ndarray):
+        small = small.astype(np.int64)
+        out = np.full(small.shape, base, dtype=np.int64)
     for j, p in enumerate(positions):
-        if (small >> j) & 1:
-            out |= 1 << p
-        else:
-            out &= ~(1 << p)
+        out = (out & ~(1 << p)) | (((small >> j) & 1) << p)
     return out
 
 
@@ -239,14 +231,8 @@ def block_projection(n: int, point_words, values, anchor_lo: int, anchor_hi: int
     return block, outside, [(packed >> (i * slot)) & small for i in range(len(point_words))]
 
 
-def choose_consistent_sub_word(
-    n: int,
-    point_words,
-    values,
-    anchor_lo: int,
-    anchor_hi: int,
-    rng: np.random.Generator,
-) -> int:
+def choose_consistent_sub_word(n: int, point_words, values, anchor_lo: int, anchor_hi: int,
+                               rng: np.random.Generator) -> int:
     """Block-restricted consistent draw; the block is where the anchors differ.
 
     The history is validated and projected by ``block_projection``; the
@@ -255,5 +241,5 @@ def choose_consistent_sub_word(
     """
     block, outside, projected = block_projection(n, point_words, values, anchor_lo, anchor_hi)
     small = choose_consistent_word(len(block), projected, values, rng) if block else 0
-    return outside | embed_word(small, block, 0)
+    return embed_word(small, block, outside)
 

@@ -10,15 +10,19 @@ by index arrays.  ``exact_pmf`` is the same pmf as an ``OutputDistribution``
 over ``BitString`` outputs, built from the vector's nonzero entries.
 
 The word-level kernels are the only definition of what an operator samples.
-``OPERATORS`` maps each family name to its kernel and its fixed arity, and
+``OPERATORS`` maps each family name to its kernel and its arity rule, and
 ``OperatorId``, ``sample_operator`` (the hot path shared with the run engine
 and the statistical certifier) and the final, deterministic branch of
-``pmf_vector`` all read that one table.
+``pmf_vector`` all read that one table.  A family's arity rule is its fixed
+arity, an int, for a family that takes no params; for a parametric family it
+is a function from the params to the arity, which raises ``ValueError``
+naming the family on params it rejects.  ``OperatorId`` applies the rule
+once and stores the arity it gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
@@ -30,6 +34,7 @@ from .consistency import (
     choose_consistent_sub_word,
     choose_consistent_word,
     consistent_words,
+    embed_word,
 )
 
 __all__ = [
@@ -107,12 +112,7 @@ def _k_flip_one(words, n, params, rng):
 
 def _k_flip_k(words, n, params, rng):
     x, y = words
-    d = x ^ y
-    pos = []
-    while d:
-        low = d & -d
-        pos.append(low.bit_length() - 1)
-        d ^= low
+    pos = differing_positions(x, y, n).tolist()
     take = min(params[0], len(pos))
     if take == 0:
         return y
@@ -153,80 +153,73 @@ def _k_choose_consistent_sub(words, n, params, rng):
     return choose_consistent_sub_word(n, words[:-2], params, words[-2], words[-1], rng)
 
 
-# The operator table: family name -> (kernel, fixed arity).  The arity is
-# None where it follows from the params: flipKWhereDifferent takes (ell,) on
-# two parents, chooseConsistent one parent per value, and
-# chooseConsistentSub one per value plus two anchors.
+def _flip_k_arity(params) -> int:
+    if len(params) != 1 or params[0] < 0:
+        raise ValueError(f"flipKWhereDifferent needs params (ell,) with ell >= 0, got {params!r}")
+    return 2
+
+
+# The operator table: family name -> (kernel, arity rule).  The rule is the
+# fixed arity of a family without params, or a function from the params to
+# the arity: flipKWhereDifferent takes (ell,) on two parents,
+# chooseConsistent its target agreement values, one parent per value, and
+# chooseConsistentSub its block-level values, one parent per value plus two
+# anchors.
 OPERATORS = {
     "uniformSample": (_k_uniform, 0),
     "complement": (_k_complement, 1),
     "flipOneWhereDifferent": (_k_flip_one, 2),
-    "flipKWhereDifferent": (_k_flip_k, None),
+    "flipKWhereDifferent": (_k_flip_k, _flip_k_arity),
     "randomWhereDifferent": (_k_rwd, 2),
     "update": (_k_update, 3),
     "switchIfDistanceOne": (_k_switch, 2),
     "flipOneUniform": (_k_flip_one_uniform, 1),
-    "chooseConsistent": (_k_choose_consistent, None),
-    "chooseConsistentSub": (_k_choose_consistent_sub, None),
+    "chooseConsistent": (_k_choose_consistent, len),
+    "chooseConsistentSub": (_k_choose_consistent_sub, lambda values: len(values) + 2),
 }
 
 
 @dataclass(frozen=True)
 class OperatorId:
-    """Identity of one variation operator: name, arity, optional int params.
+    """Identity of one variation operator: name, optional int params, arity.
 
-    params meaning by family: (ell,) for flipKWhereDifferent; the tuple of
-    target agreement values for chooseConsistent (arity = number of values);
-    the tuple of block-level values for chooseConsistentSub (arity = number
-    of values + 2 anchors).
+    The params are None for a family without params.  The arity is not
+    passed: it is what the family's rule in ``OPERATORS`` gives for the params.
     """
 
     name: str
-    arity: int
     params: tuple[int, ...] | None = None
+    arity: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.name not in OPERATORS:
             raise ValueError(f"unknown operator name {self.name!r}")
-        want = OPERATORS[self.name][1]
-        if want is not None:
-            if self.arity != want:
-                raise ValueError(f"{self.name} has arity {want}, got {self.arity}")
-            if self.params is not None:
-                raise ValueError(f"{self.name} takes no params")
-        elif self.name == "flipKWhereDifferent":
-            if self.arity != 2:
-                raise ValueError(f"flipKWhereDifferent has arity 2, got {self.arity}")
-            if self.params is None or len(self.params) != 1 or self.params[0] < 0:
-                raise ValueError("flipKWhereDifferent needs params (ell,) with ell >= 0")
-        elif self.name == "chooseConsistent":
-            if self.params is None or self.arity != len(self.params):
-                raise ValueError("chooseConsistent arity must equal the number of values")
-        elif self.params is None or self.arity != len(self.params) + 2:
-            raise ValueError("chooseConsistentSub arity must be number of values + 2 anchors")
+        rule = OPERATORS[self.name][1]
+        fixed = isinstance(rule, int)
+        if fixed != (self.params is None):
+            raise ValueError(f"{self.name} {'takes no params' if fixed else 'needs params'}")
+        object.__setattr__(self, "arity", rule if fixed else rule(self.params))
 
 
-UNIFORM_SAMPLE = OperatorId("uniformSample", 0)
-COMPLEMENT = OperatorId("complement", 1)
-FLIP_ONE_WHERE_DIFFERENT = OperatorId("flipOneWhereDifferent", 2)
-RANDOM_WHERE_DIFFERENT = OperatorId("randomWhereDifferent", 2)
-UPDATE = OperatorId("update", 3)
-SWITCH_IF_DISTANCE_ONE = OperatorId("switchIfDistanceOne", 2)
-FLIP_ONE_UNIFORM = OperatorId("flipOneUniform", 1)
+UNIFORM_SAMPLE = OperatorId("uniformSample")
+COMPLEMENT = OperatorId("complement")
+FLIP_ONE_WHERE_DIFFERENT = OperatorId("flipOneWhereDifferent")
+RANDOM_WHERE_DIFFERENT = OperatorId("randomWhereDifferent")
+UPDATE = OperatorId("update")
+SWITCH_IF_DISTANCE_ONE = OperatorId("switchIfDistanceOne")
+FLIP_ONE_UNIFORM = OperatorId("flipOneUniform")
 
 
 def flip_k_id(ell: int) -> OperatorId:
-    return OperatorId("flipKWhereDifferent", 2, (int(ell),))
+    return OperatorId("flipKWhereDifferent", (int(ell),))
 
 
 def choose_consistent_id(values) -> OperatorId:
-    vals = tuple(int(u) for u in values)
-    return OperatorId("chooseConsistent", len(vals), vals)
+    return OperatorId("chooseConsistent", tuple(int(u) for u in values))
 
 
 def choose_consistent_sub_id(values) -> OperatorId:
-    vals = tuple(int(u) for u in values)
-    return OperatorId("chooseConsistentSub", len(vals) + 2, vals)
+    return OperatorId("chooseConsistentSub", tuple(int(u) for u in values))
 
 
 def sample_operator(op: OperatorId, words, n: int, rng: np.random.Generator) -> int:
@@ -301,10 +294,7 @@ def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
         survivors = consistent_words(len(block), proj, op.params) if block else np.array([0])
         if survivors.size == 0:
             survivors = np.arange(1 << len(block), dtype=np.uint32)
-        out = np.full(survivors.size, outside)
-        for j, p in enumerate(block):
-            out |= ((survivors >> j) & 1).astype(np.int64) << p
-        v[out] = 1.0 / survivors.size
+        v[embed_word(survivors, block, outside)] = 1.0 / survivors.size
     else:
         # every family left is deterministic: its kernel needs no generator
         v[OPERATORS[name][0](words, n, None, None)] = 1.0

@@ -37,7 +37,6 @@ from .operators import (
     choose_consistent_id,
     choose_consistent_sub_id,
     exact_pmf,  # noqa: F401  (kept as a module attribute: per-layer tracing wraps it here)
-    flip_k_id,
     pmf_vector,
     sample_operator,
 )
@@ -139,12 +138,6 @@ def _trial_case(family: str, n: int, rng) -> tuple[object, list[BitString]]:
     """One random (operator instance, inputs) pair for the family."""
     if family == NEGATIVE_CONTROL_NAME:
         return NEGATIVE_CONTROL, [_rand_bs(n, rng)]
-    arity = OPERATORS[family][1]
-    if arity is not None:
-        return OperatorId(family, arity), [_rand_bs(n, rng) for _ in range(arity)]
-    if family == "flipKWhereDifferent":
-        ell = int(rng.integers(0, n + 1))
-        return flip_k_id(ell), [_rand_bs(n, rng), _rand_bs(n, rng)]
     if family == "chooseConsistent":
         t = int(rng.integers(1, 5))
         points = [_rand_bs(n, rng) for _ in range(t)]
@@ -155,20 +148,23 @@ def _trial_case(family: str, n: int, rng) -> tuple[object, list[BitString]]:
         else:
             values = [int(rng.integers(0, n + 1)) for _ in range(t)]
         return choose_consistent_id(values), points
-    # chooseConsistentSub
-    ell = int(rng.integers(1, min(n, 6) + 1))
-    r = int(rng.integers(1, 4))
-    a_lo = _rand_bs(n, rng)
-    block = sorted(int(p) for p in rng.choice(n, size=ell, replace=False))
-    mask = sum(1 << p for p in block)
-    a_hi = BitString(n, a_lo.word ^ mask)
-    outside = a_lo.word & ~mask
-    points = [
-        BitString(n, embed_word(int(rng.integers(0, 1 << ell)), block, outside))
-        for _ in range(r)
-    ]
-    values = [int(rng.integers(0, ell + 1)) for _ in range(r)]
-    return choose_consistent_sub_id(values), points + [a_lo, a_hi]
+    if family == "chooseConsistentSub":
+        ell = int(rng.integers(1, min(n, 6) + 1))
+        r = int(rng.integers(1, 4))
+        a_lo = _rand_bs(n, rng)
+        block = sorted(int(p) for p in rng.choice(n, size=ell, replace=False))
+        mask = sum(1 << p for p in block)
+        a_hi = BitString(n, a_lo.word ^ mask)
+        outside = a_lo.word & ~mask
+        points = [
+            BitString(n, embed_word(int(rng.integers(0, 1 << ell)), block, outside))
+            for _ in range(r)
+        ]
+        values = [int(rng.integers(0, ell + 1)) for _ in range(r)]
+        return choose_consistent_sub_id(values), points + [a_lo, a_hi]
+    params = (int(rng.integers(0, n + 1)),) if family == "flipKWhereDifferent" else None
+    op = OperatorId(family, params)
+    return op, [_rand_bs(n, rng) for _ in range(op.arity)]
 
 
 def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from scipy import stats
 
 from arityopt.bitcore import BitString
 from arityopt.bounds import round_count
-from arityopt.consistency import ConsistencyQuery, choose_consistent, consistent_set
+from arityopt.consistency import ConsistencyQuery, choose_consistent_word, consistent_set
 from arityopt.harness import ExperimentConfig, fit_curve, run_experiment, summarize
 from arityopt.problems import Oracle, random_instance
 from arityopt.unbiasedness import (
@@ -269,8 +269,9 @@ def test_criterion_8_consistency_sampler():
     q = ConsistencyQuery(10, (BitString.zeros(10),), (5,))
     support = sorted(x.word for x in consistent_set(q))
     counts = dict.fromkeys(support, 0)
+    point_words = [p.word for p in q.points]
     for _ in range(100_000):
-        counts[choose_consistent(q, rng).word] += 1
+        counts[choose_consistent_word(q.dim, point_words, q.values, rng)] += 1
     _, p_value = stats.chisquare(list(counts.values()))
 
     # soundness: the hidden string survives 10^3 oracle-generated query sets

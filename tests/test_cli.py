@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from arityopt.consistency import ENUMERATION_DIM_LIMIT
 from arityopt.harness import RUNS_HEADER, SUMMARY_HEADER
 
 
@@ -130,6 +131,15 @@ class TestVerifyUnbiased:
         assert proc.returncode == 1
         assert "configuration error" in proc.stderr
         assert f"{flag} must be positive, got {args[1]}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_n_above_enumeration_limit_exits_1(self):
+        # rejected before any certification: chooseConsistent could not
+        # enumerate its consistent set at this n
+        proc = run_cli("verify-unbiased", "--n", str(ENUMERATION_DIM_LIMIT + 1), "--trials", "1")
+        assert proc.returncode == 1
+        assert "configuration error" in proc.stderr
+        assert f"enumeration limit {ENUMERATION_DIM_LIMIT}, got {ENUMERATION_DIM_LIMIT + 1}" in proc.stderr
         assert proc.stdout == ""
 
 

@@ -12,12 +12,11 @@ from arityopt.consistency import (
     ConsistencyQuery,
     ExactEnumerationUnavailable,
     block_projection,
-    choose_consistent,
     choose_consistent_sub_word,
+    choose_consistent_word,
     consistent_set,
     consistent_words,
     embed_word,
-    project_word,
 )
 from arityopt.operators import choose_consistent_sub_id, sample_operator
 from arityopt.problems import OneMaxInstance, random_instance
@@ -27,6 +26,15 @@ ALPHA = 1e-3
 
 def bs(s: str) -> BitString:
     return BitString.from_string(s)
+
+
+def project_word(word: int, positions) -> int:
+    """Compress the bits of ``word`` at ``positions`` into a small word."""
+    out = 0
+    for j, p in enumerate(positions):
+        if (word >> p) & 1:
+            out |= 1 << j
+    return out
 
 
 class TestConsistentSet:
@@ -145,22 +153,25 @@ class TestChooseConsistent:
             pts = [BitString(dim, int(w)) for w in rng.integers(1 << dim, size=2)]
             vals = tuple(dim - (z ^ p.word).bit_count() for p in pts)
             q = ConsistencyQuery(dim, tuple(pts), vals)
-            assert choose_consistent(q, rng) in consistent_set(q)
+            w = choose_consistent_word(dim, [p.word for p in pts], vals, rng)
+            assert BitString(dim, w) in consistent_set(q)
 
     def test_uniform_over_consistent_set(self):
         rng = np.random.default_rng(6)
         q = ConsistencyQuery(5, (bs("00000"),), (2,))
         support = sorted(x.word for x in consistent_set(q))
         counts = dict.fromkeys(support, 0)
+        point_words = [p.word for p in q.points]
         for _ in range(20_000):
-            counts[choose_consistent(q, rng).word] += 1
+            counts[choose_consistent_word(q.dim, point_words, q.values, rng)] += 1
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > ALPHA
 
     def test_empty_set_falls_back_to_uniform(self):
         rng = np.random.default_rng(7)
         q = ConsistencyQuery(2, (bs("00"), bs("00")), (0, 2))
-        seen = {choose_consistent(q, rng).word for _ in range(400)}
+        point_words = [p.word for p in q.points]
+        seen = {choose_consistent_word(q.dim, point_words, q.values, rng) for _ in range(400)}
         assert seen == {0, 1, 2, 3}
 
     def test_soundness_on_oracle_generated_queries(self):
@@ -176,13 +187,18 @@ class TestChooseConsistent:
 
 
 class TestProjectEmbed:
-    def test_round_trip(self):
+    @pytest.mark.parametrize("base", [0b100001, 0b111111])
+    def test_round_trip(self, base):
         positions = (1, 3, 4)
         for small in range(8):
-            w = embed_word(small, positions, 0b100001)
+            w = embed_word(small, positions, base)
             assert project_word(w, positions) == small
             # untouched bits keep the base value
-            assert w & ~0b11010 == 0b100001 & ~0b11010
+            assert w & ~0b11010 == base & ~0b11010
+        # an array of small words embeds elementwise
+        small = np.arange(8, dtype=np.uint32)
+        words = embed_word(small, positions, base)
+        assert words.tolist() == [embed_word(int(s), positions, base) for s in small]
 
 
 class TestChooseConsistentSub:

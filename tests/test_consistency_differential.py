@@ -28,8 +28,16 @@ from arityopt.consistency import (
     block_projection,
     choose_consistent_word,
     consistent_words,
-    project_word,
 )
+
+
+def project_word(word: int, positions) -> int:
+    """Compress the bits of ``word`` at ``positions`` into a small word."""
+    out = 0
+    for j, p in enumerate(positions):
+        if (word >> p) & 1:
+            out |= 1 << j
+    return out
 
 
 def filter_consistent_words(dim: int, point_words, values) -> np.ndarray:

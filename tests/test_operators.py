@@ -16,12 +16,14 @@ from arityopt.operators import (
     SWITCH_IF_DISTANCE_ONE,
     UNIFORM_SAMPLE,
     UPDATE,
+    OPERATORS,
     OperatorId,
     OutputDistribution,
     choose_consistent_id,
     choose_consistent_sub_id,
     exact_pmf,
     flip_k_id,
+    pmf_vector,
     sample_operator,
 )
 
@@ -36,6 +38,15 @@ def draw(op, *parents, rng=None) -> BitString:
     """One output of op on bitstring parents, through ``sample_operator``."""
     n = parents[0].n
     return BitString(n, sample_operator(op, [x.word for x in parents], n, rng))
+
+
+# Valid params and the arity they give, for each family whose arity rule is
+# a function of its params.
+PARAMETRIC_CASES = {
+    "flipKWhereDifferent": [((0,), 2), ((3,), 2)],
+    "chooseConsistent": [((), 0), ((2,), 1), ((4, 2, 3), 3)],
+    "chooseConsistentSub": [((), 2), ((1, 2), 4)],
+}
 
 
 class TestOperatorId:
@@ -55,12 +66,49 @@ class TestOperatorId:
         assert choose_consistent_sub_id((1, 2)).arity == 4
 
     def test_rejects_wrong_arity(self):
+        # the arity follows from the name and params, so params on a
+        # fixed-arity family and an unknown name are what is left to reject
         with pytest.raises(ValueError):
-            OperatorId("complement", 2)
+            OperatorId("complement", (2,))
         with pytest.raises(ValueError):
-            OperatorId("nonsense", 1)
+            OperatorId("nonsense")
         with pytest.raises(ValueError):
             flip_k_id(-1)
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_arity_follows_the_rule(self, name):
+        rule = OPERATORS[name][1]
+        cases = [(None, rule)] if isinstance(rule, int) else PARAMETRIC_CASES[name]
+        rng = np.random.default_rng(0)
+        for params, arity in cases:
+            op = OperatorId(name, params)
+            assert op.arity == arity
+            if params is not None:
+                assert rule(params) == arity
+            for wrong in (arity - 1, arity + 1):
+                if wrong < 0:
+                    continue
+                words = [0b0110] * wrong
+                with pytest.raises(ValueError, match="parents"):
+                    sample_operator(op, words, 4, rng)
+                with pytest.raises(ValueError, match="parents"):
+                    pmf_vector(op, words, 4)
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, r) in OPERATORS.items() if isinstance(r, int)))
+    def test_fixed_arity_family_rejects_params(self, name):
+        for params in ((), (1,)):
+            with pytest.raises(ValueError, match=f"{name} takes no params"):
+                OperatorId(name, params)
+
+    @pytest.mark.parametrize("name", sorted(n for n, (_, r) in OPERATORS.items() if not isinstance(r, int)))
+    def test_parametric_family_rejects_missing_params(self, name):
+        with pytest.raises(ValueError, match=f"{name} needs params"):
+            OperatorId(name)
+
+    @pytest.mark.parametrize("params", [(), (1, 2), (-1,)])
+    def test_flip_k_rejects_bad_params(self, params):
+        with pytest.raises(ValueError, match="flipKWhereDifferent"):
+            OperatorId("flipKWhereDifferent", params)
 
 
 class TestDeterministicOperators:
