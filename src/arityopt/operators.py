@@ -183,8 +183,9 @@ OPERATORS = {
 class OperatorId:
     """Identity of one variation operator: name, optional int params, arity.
 
-    The params are None for a family without params.  The arity is not
-    passed: it is what the family's rule in ``OPERATORS`` gives for the params.
+    The params are None for a family without params, and otherwise are
+    stored as a tuple of ints.  The arity is not passed: it is what the
+    family's rule in ``OPERATORS`` gives for the params.
     """
 
     name: str
@@ -198,6 +199,13 @@ class OperatorId:
         fixed = isinstance(rule, int)
         if fixed != (self.params is None):
             raise ValueError(f"{self.name} {'takes no params' if fixed else 'needs params'}")
+        if not fixed:
+            try:
+                object.__setattr__(self, "params", tuple(int(u) for u in self.params))
+            except TypeError:
+                raise ValueError(
+                    f"{self.name} needs a sequence of int params, got {self.params!r}"
+                ) from None
         object.__setattr__(self, "arity", rule if fixed else rule(self.params))
 
 
@@ -211,15 +219,15 @@ FLIP_ONE_UNIFORM = OperatorId("flipOneUniform")
 
 
 def flip_k_id(ell: int) -> OperatorId:
-    return OperatorId("flipKWhereDifferent", (int(ell),))
+    return OperatorId("flipKWhereDifferent", (ell,))
 
 
 def choose_consistent_id(values) -> OperatorId:
-    return OperatorId("chooseConsistent", tuple(int(u) for u in values))
+    return OperatorId("chooseConsistent", values)
 
 
 def choose_consistent_sub_id(values) -> OperatorId:
-    return OperatorId("chooseConsistentSub", tuple(int(u) for u in values))
+    return OperatorId("chooseConsistentSub", values)
 
 
 def sample_operator(op: OperatorId, words, n: int, rng: np.random.Generator) -> int:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from scipy import special
 
 from arityopt.bounds import (
     THEORY_MODELS,
@@ -54,6 +56,25 @@ class TestLog2Binomial:
     def test_large_arguments_finite(self):
         v = log2_binomial(1 << 20, 1 << 19)
         assert 0 < v < (1 << 20)
+
+    def test_matches_scipy_gammaln_at_random_k(self):
+        rng = np.random.default_rng(24)
+        for _ in range(5000):
+            n = int(rng.integers(1, (1 << 24) + 1))
+            k = int(rng.integers(0, n + 1))
+            want = float(
+                (special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1))
+                / math.log(2.0)
+            )
+            assert log2_binomial(n, k) == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n", [1 << 24, (1 << 24) - 3, (1 << 22) + 7, 10**6 + 1, 1 << 16])
+    def test_matches_exact_where_lgamma_cancels(self, n):
+        # at k or n - k near 0 the three lgamma terms nearly cancel
+        for k in list(range(40)) + list(range(n - 39, n + 1)):
+            exact = math.log2(math.comb(n, k))
+            err = abs(log2_binomial(n, k) - exact)
+            assert err <= 1e-6 and err <= 1e-8 * exact
 
 
 class TestDefaultDGrid:

@@ -10,8 +10,11 @@ and the two checks are kept here verbatim as the oracle.
 
 Statistical certification draws its samples in a loop and profiles them in
 one array pass.  The earlier per-sample loop, ``_statistical_trial`` with
-``_profile_key``, is kept here verbatim as its oracle: every p value, every
-deviation and the generator state after a trial must be the same.
+``_profile_key``, is kept here as its oracle: every contingency table, every
+deviation and the generator state after a trial must be the same.  The loop
+still takes its p value from ``scipy.stats.chi2_contingency``, the test the
+program's standard-library ``_chi2_contingency_p`` replaced, so the two p
+values are also compared.
 """
 
 from __future__ import annotations
@@ -214,9 +217,11 @@ def _profile_key(word: int, ref_words: list[int]) -> tuple:
     return (word.bit_count(),) + tuple((word ^ r).bit_count() for r in ref_words)
 
 
-def loop_statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
+def loop_statistical_trial(family, n, rng, samples: int) -> tuple[float, float, tuple | None]:
     """Two-sample comparison of op(inputs) pushed through an automorphism
-    against op on the transformed inputs.  Returns (p value, max freq diff)."""
+    against op on the transformed inputs.  Returns (p value, max freq diff,
+    contingency table), the table as its two rows (a, b), or None when the
+    merged cells leave fewer than two columns and p is 1 without a test."""
     op, inputs = _trial_case(family, n, rng)
     sigma = Permutation.random(n, rng)
     z = _rand_bs(n, rng)
@@ -249,9 +254,23 @@ def loop_statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     nz = (a + b) > 0
     a, b = a[nz], b[nz]
     if a.size < 2:
-        return 1.0, dev
+        return 1.0, dev, None
     _, p, _, _ = stats.chi2_contingency(np.vstack([a, b]))
-    return float(p), dev
+    return float(p), dev, (a, b)
+
+
+def assert_same_p(got: float, want: float) -> None:
+    """got within 1e-10 relative of scipy's p where that p is above 1e-300,
+    and below 1e-290 where it is not, so no verdict at any alpha can flip."""
+    if want > 1e-300:
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+    else:
+        assert got < 1e-290
+
+
+def loop_p_and_deviation(family, n, rng, samples: int) -> tuple[float, float]:
+    """``loop_statistical_trial`` with the signature of ``_statistical_trial``."""
+    return loop_statistical_trial(family, n, rng, samples)[:2]
 
 
 @st.composite
@@ -341,9 +360,12 @@ class TestStatisticalTrialMatchesLoop:
                     with pytest.raises(ExactEnumerationUnavailable):
                         fn(family, n, g, samples=2000)
                 continue
-            got = unbiasedness._statistical_trial(family, n, rng, samples=2000)
-            want = loop_statistical_trial(family, n, ref_rng, samples=2000)
-            assert repr(got) == repr(want)
+            got_p, got_dev = unbiasedness._statistical_trial(family, n, rng, samples=2000)
+            scipy_p, dev, table = loop_statistical_trial(family, n, ref_rng, samples=2000)
+            want_p = 1.0 if table is None else unbiasedness._chi2_contingency_p(*table)
+            assert repr(got_p) == repr(want_p)
+            assert_same_p(got_p, scipy_p)
+            assert repr(got_dev) == repr(dev)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @settings(max_examples=20, deadline=None)
@@ -354,11 +376,72 @@ class TestStatisticalTrialMatchesLoop:
         got = certify_operator(family, n, trials, rng, mode="statistical")
         ref_rng = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(unbiasedness, "_statistical_trial", loop_statistical_trial)
+            mp.setattr(unbiasedness, "_statistical_trial", loop_p_and_deviation)
             want = certify_operator(family, n, trials, ref_rng, mode="statistical")
         assert got == want
         assert repr(got.worst_deviation) == repr(want.worst_deviation)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+CHI2_KINDS = ("dof1", "sparse", "dense", "far_tail")
+
+
+def random_tables(kind: str, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded 2 x m count tables shaped as ``_statistical_trial`` passes them:
+    float rows, no empty column, m from 2 to 300 (always 2 for dof1).  Row b
+    draws each column's mean as row a's times exp(effect * N(0, 1)), and the
+    effect size spreads p from 1 to far below 1e-300.  Sparse tables have
+    cell means under 2; far_tail tables have large effects."""
+    rng = np.random.default_rng(CHI2_KINDS.index(kind))
+    out = []
+    while len(out) < count:
+        m = 2 if kind == "dof1" else int(rng.integers(2, 301))
+        lam = rng.uniform(0.05, 2.0, m) if kind == "sparse" else rng.uniform(1.0, 500.0, m)
+        effect = 10 ** (rng.uniform(-1.5, 0.3) if kind == "far_tail" else rng.uniform(-3.0, 0.0))
+        a = rng.poisson(lam).astype(float)
+        b = rng.poisson(lam * np.exp(effect * rng.standard_normal(m))).astype(float)
+        nz = (a + b) > 0
+        a, b = a[nz], b[nz]
+        if a.size >= 2 and a.sum() > 0 and b.sum() > 0:
+            out.append((a, b))
+    return out
+
+
+class TestChi2MatchesScipy:
+    """The standard-library chi-square p against ``scipy.stats.chi2_contingency``."""
+
+    @pytest.mark.parametrize("kind", CHI2_KINDS)
+    def test_p_within_1e_10_and_no_verdict_flip(self, kind):
+        thresholds = [unbiasedness.STATISTICAL_ALPHA / t for t in (1, 5, 10, 200)]
+        scipy_ps, statistics = [], []
+        for a, b in random_tables(kind, 2000):
+            got = unbiasedness._chi2_contingency_p(a, b)
+            x, want, dof, _ = stats.chi2_contingency(np.vstack([a, b]))
+            assert type(got) is float
+            assert dof == a.size - 1
+            assert_same_p(got, want)
+            for threshold in thresholds:
+                assert (got > threshold) == (want > threshold)
+            scipy_ps.append(want)
+            statistics.append(x)
+        ps, x = np.array(scipy_ps), np.array(statistics)
+        # every verdict threshold has tables within a factor of 10 of it
+        for threshold in thresholds:
+            assert ((ps > threshold / 10) & (ps < threshold * 10)).any()
+        if kind == "far_tail":
+            assert (ps <= 1e-300).any()
+            assert ((ps > 1e-300) & (ps < 1e-100)).any()
+            # exp(-x/2) alone underflows there, but p does not
+            assert ((x / 2 > 746) & (ps > 1e-300)).any()
+
+    def test_degenerate_tables(self):
+        # equal rows give a zero statistic; Yates's correction at dof 1 can
+        # too, where every |observed - expected| is at most 0.5
+        for a, b in (([5.0, 5.0], [5.0, 5.0]), ([3.0, 4.0], [4.0, 3.0]),
+                     ([7.0, 1.0, 2.0], [7.0, 1.0, 2.0])):
+            a, b = np.array(a), np.array(b)
+            assert unbiasedness._chi2_contingency_p(a, b) == 1.0
+            assert stats.chi2_contingency(np.vstack([a, b]))[1] == 1.0
 
 
 class TestPushDirection:

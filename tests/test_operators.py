@@ -105,10 +105,28 @@ class TestOperatorId:
         with pytest.raises(ValueError, match=f"{name} needs params"):
             OperatorId(name)
 
-    @pytest.mark.parametrize("params", [(), (1, 2), (-1,)])
+    @pytest.mark.parametrize("params", [(), (1, 2), (-1,), 3, (None,)])
     def test_flip_k_rejects_bad_params(self, params):
         with pytest.raises(ValueError, match="flipKWhereDifferent"):
             OperatorId("flipKWhereDifferent", params)
+
+    def test_params_normalised_to_a_tuple_of_ints(self):
+        op = OperatorId("chooseConsistent", [3, np.int64(1)])
+        assert op.params == (3, 1)
+        assert all(type(u) is int for u in op.params)
+        assert op == choose_consistent_id((3, 1))
+        assert hash(op) == hash(choose_consistent_id([3, 1]))
+        assert OperatorId("chooseConsistentSub", np.array([2, 0])).params == (2, 0)
+
+    def test_builders_give_equal_ids(self):
+        # the ids the algorithms build, from Python and numpy ints alike
+        assert flip_k_id(np.int64(3)) == OperatorId("flipKWhereDifferent", (3,))
+        assert hash(flip_k_id(np.int64(3))) == hash(OperatorId("flipKWhereDifferent", (3,)))
+        values = np.array([4, 2, 3])
+        assert choose_consistent_id(values) == OperatorId("chooseConsistent", (4, 2, 3))
+        assert choose_consistent_id(u for u in values).params == (4, 2, 3)
+        assert choose_consistent_sub_id(values) == OperatorId("chooseConsistentSub", (4, 2, 3))
+        assert len({flip_k_id(1), flip_k_id(1), choose_consistent_id([1])}) == 2
 
 
 class TestDeterministicOperators:
