@@ -32,7 +32,7 @@ def shrinking_set(dim: int, seed: int) -> None:
 
 
 def flat_frequencies(dim: int, draws: int) -> None:
-    q = ConsistencyQuery(dim, (BitString.zeros(dim),), (dim // 2,))
+    q = ConsistencyQuery(dim, (BitString(dim, 0),), (dim // 2,))
     support = consistent_set(q)
     rng = np.random.default_rng(99)
     counts: dict[int, int] = {}

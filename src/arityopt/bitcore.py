@@ -4,7 +4,7 @@ A :class:`BitString` of length ``n`` is stored as a Python integer whose bit
 ``i`` (0-based, ``1 << i``) holds the value at position ``i``.  Positions are
 0-based internally and in all serialized formats; the ASCII form puts position
 0 leftmost.  Integers keep xor and popcount at O(n / wordsize) per operation;
-the Hamming distance of two bitstrings is ``(x ^ y).popcount()``.
+the Hamming distance of two words is ``(x ^ y).bit_count()``.
 A run's cost in memory is another matter: the oracle keeps every queried word
 for the life of the run, about n**2 / 4 bytes per ``binary_onemax`` run, which
 is about 1 GB at n = 65,536.
@@ -49,14 +49,6 @@ class BitString:
         _check_word(self.n, self.word)
 
     @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
     def from_string(cls, s: str) -> "BitString":
         """Parse an ASCII '0'/'1' string, position 0 leftmost."""
         if not s or set(s) - {"0", "1"}:
@@ -70,19 +62,6 @@ class BitString:
     def to_string(self) -> str:
         """ASCII '0'/'1' form, position 0 leftmost."""
         return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.n))
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValueError(f"position {i} out of range for length {self.n}")
-        return (self.word >> i) & 1
-
-    def popcount(self) -> int:
-        return self.word.bit_count()
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return BitString(self.n, self.word ^ other.word)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BitString({self.to_string()!r})"
@@ -108,15 +87,14 @@ class Permutation:
         return len(self.mapping)
 
 
-def apply_permutation(sigma: Permutation, x: BitString) -> BitString:
+def apply_permutation(sigma: Permutation, word: int) -> int:
     """Rearrange bits: output position i takes the bit at ``sigma.mapping[i]``."""
-    if sigma.size != x.n:
-        raise ValueError(f"size mismatch: perm {sigma.size} vs bitstring {x.n}")
-    word = 0
+    _check_word(sigma.size, word)
+    out = 0
     for i, j in enumerate(sigma.mapping):
-        if (x.word >> j) & 1:
-            word |= 1 << i
-    return BitString(x.n, word)
+        if (word >> j) & 1:
+            out |= 1 << i
+    return out
 
 
 def permute_words(sigma: Permutation, words: np.ndarray) -> np.ndarray:

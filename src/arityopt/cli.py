@@ -209,7 +209,10 @@ def _cmd_check_bound(args) -> int:
 
 def _cmd_fit(args) -> int:
     records = read_runs_csv(args.input)
-    a, residual = fit_curve(records, args.model)
+    try:
+        a, residual = fit_curve(records, args.model)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     print(f"model={args.model} a={_g9(a)} max_relative_residual={_g9(residual)}")
     failures = []
     if args.min_a is not None and a < args.min_a:

@@ -78,9 +78,6 @@ class OutputDistribution:
     def __post_init__(self) -> None:
         _check_probabilities(list(self.support.values()))
 
-    def prob(self, x: BitString) -> float:
-        return self.support.get(x, 0.0)
-
 
 def _rand_word(n: int, rng: np.random.Generator) -> int:
     # raw 64-bit PRNG outputs; far cheaper per draw than Generator.bytes

@@ -181,10 +181,6 @@ class Oracle:
         return len(self._words)
 
     @property
-    def budget(self) -> int | None:
-        return self._budget
-
-    @property
     def history(self) -> list[tuple[BitString, float]]:
         """Queried points with their values, in query order (a fresh copy)."""
         n = self.n

@@ -7,12 +7,14 @@ certifier degrades to a statistical two-sample comparison of sampler output.
 A deliberately biased control operator (constant all-ones output) is built in
 as a negative control for the certification pipeline itself.
 
-The exact pmfs are dense vectors from ``operators.pmf_vector``, indexed by
-output word.  A pmf is pushed through a bijection of words by one scatter
-through a table of its images: ``arange(2**n) ^ z`` for an xor shift, and
-``bitcore.permute_words`` over ``arange(2**n)`` for a permutation.  A push
-only moves entries and sums none, so every probability, deviation and
-report is the one a dict pmf over ``BitString`` outputs gives.
+Everything is computed on int words.  One exact check per trial builds the
+pmf of the trial's words once, as a dense vector from
+``operators.pmf_vector`` indexed by output word, and pushes it through both
+bijections of words by one scatter each through a table of their images:
+``arange(2**n) ^ z`` for the xor shift, and ``bitcore.permute_words`` over
+``arange(2**n)`` for the permutation.  A push only moves entries and sums
+none, so every probability, deviation and report is the one a dict pmf over
+``BitString`` outputs gives.
 
 A statistical trial draws its two samples interleaved, every draw through
 ``operators.sample_operator``, and then maps and profiles each side in one
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import BitString, Permutation, apply_permutation, permute_words, random_word
+from .bitcore import Permutation, apply_permutation, permute_words, random_word
 from .consistency import ExactEnumerationUnavailable, embed_word
 from .operators import (
     EXACT_PMF_LIMIT,
@@ -47,8 +49,7 @@ __all__ = [
     "NEGATIVE_CONTROL_NAME",
     "SHIPPED_OPERATOR_FAMILIES",
     "CertificationReport",
-    "check_xor_invariance",
-    "check_perm_invariance",
+    "check_invariance",
     "certify_operator",
 ]
 
@@ -81,92 +82,73 @@ class CertificationReport:
     passed: bool
 
 
-def _require_exact(n: int) -> None:
-    if n > EXACT_PMF_LIMIT:
-        raise ExactEnumerationUnavailable(
-            f"length {n} exceeds exact pmf limit {EXACT_PMF_LIMIT}"
-        )
-
-
-def _pmf(op, inputs: list[BitString], n: int) -> np.ndarray:
-    """Exact pmf vector of op on inputs; the control is one-hot at all-ones."""
+def _pmf(op, words: list[int], n: int) -> np.ndarray:
+    """Exact pmf vector of op on words; the control is one-hot at all-ones."""
     if op.name == NEGATIVE_CONTROL_NAME:
         v = np.zeros(1 << n)
         v[-1] = 1.0
         return v
-    return pmf_vector(op, [x.word for x in inputs], n)
-
-
-def _push(v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Pushforward of a pmf vector through the bijection w -> table[w]."""
-    out = np.zeros_like(v)
-    out[table] = v
-    return out
-
-
-def _deviation(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
-    dev = float(np.abs(a - b).max())
-    return dev <= EXACT_TOLERANCE, dev
+    return pmf_vector(op, words, n)
 
 
 def _control_sample(inputs, n, rng):
     return (1 << n) - 1
 
 
-def check_xor_invariance(op, inputs, z: BitString) -> tuple[bool, float]:
-    """Exact check of shift equivariance: pmf(inputs) pushed through xor-z
-    must equal pmf(inputs xor z).  Returns (passed, max pointwise deviation)."""
-    n = z.n
-    _require_exact(n)
-    shifted = [x ^ z for x in inputs]
-    pushed = _push(_pmf(op, inputs, n), np.arange(1 << n) ^ z.word)
-    return _deviation(pushed, _pmf(op, shifted, n))
+def check_invariance(op, words: list[int], z: int, sigma: Permutation) -> tuple[bool, float]:
+    """Exact check of both equivariance conditions on n = sigma.size bits.
 
-
-def check_perm_invariance(op, inputs, sigma: Permutation) -> tuple[bool, float]:
-    """Exact check of permutation equivariance, analogous to the xor check."""
+    pmf(words) pushed through xor-z must equal pmf(words xor z), and pushed
+    through sigma must equal pmf(sigma(words)).  Returns (passed, the larger
+    of the two max pointwise deviations).
+    """
     n = sigma.size
-    _require_exact(n)
-    permuted = [apply_permutation(sigma, x) for x in inputs]
-    pushed = _push(_pmf(op, inputs, n), permute_words(sigma, np.arange(1 << n)))
-    return _deviation(pushed, _pmf(op, permuted, n))
+    if n > EXACT_PMF_LIMIT:
+        raise ExactEnumerationUnavailable(
+            f"length {n} exceeds exact pmf limit {EXACT_PMF_LIMIT}"
+        )
+    if z < 0 or z >> n:
+        raise ValueError(f"word {z:#x} does not fit in {n} bits")
+    v = _pmf(op, words, n)
+    table = np.arange(1 << n)
+    # each table is a bijection, so one scatter overwrites every entry
+    pushed = np.empty_like(v)
+    pushed[table ^ z] = v
+    dev_x = float(np.abs(pushed - _pmf(op, [w ^ z for w in words], n)).max())
+    pushed[permute_words(sigma, table)] = v
+    permuted = [apply_permutation(sigma, w) for w in words]
+    dev_p = float(np.abs(pushed - _pmf(op, permuted, n)).max())
+    dev = max(dev_x, dev_p)
+    return dev <= EXACT_TOLERANCE, dev
 
 
-def _rand_bs(n, rng):
-    return BitString(n, random_word(n, rng))
-
-
-def _trial_case(family: str, n: int, rng) -> tuple[object, list[BitString]]:
-    """One random (operator instance, inputs) pair for the family."""
+def _trial_case(family: str, n: int, rng) -> tuple[object, list[int]]:
+    """One random (operator instance, input words) pair for the family."""
     if family == NEGATIVE_CONTROL_NAME:
-        return NEGATIVE_CONTROL, [_rand_bs(n, rng)]
+        return NEGATIVE_CONTROL, [random_word(n, rng)]
     if family == "chooseConsistent":
         t = int(rng.integers(1, 5))
-        points = [_rand_bs(n, rng) for _ in range(t)]
+        points = [random_word(n, rng) for _ in range(t)]
         if rng.random() < 0.5:
             # values realizable by a hidden string, so the set is nonempty
-            w = _rand_bs(n, rng)
-            values = [n - (w.word ^ p.word).bit_count() for p in points]
+            w = random_word(n, rng)
+            values = [n - (w ^ p).bit_count() for p in points]
         else:
             values = [int(rng.integers(0, n + 1)) for _ in range(t)]
         return choose_consistent_id(values), points
     if family == "chooseConsistentSub":
         ell = int(rng.integers(1, min(n, 6) + 1))
         r = int(rng.integers(1, 4))
-        a_lo = _rand_bs(n, rng)
+        a_lo = random_word(n, rng)
         block = sorted(int(p) for p in rng.choice(n, size=ell, replace=False))
         mask = sum(1 << p for p in block)
-        a_hi = BitString(n, a_lo.word ^ mask)
-        outside = a_lo.word & ~mask
-        points = [
-            BitString(n, embed_word(int(rng.integers(0, 1 << ell)), block, outside))
-            for _ in range(r)
-        ]
+        outside = a_lo & ~mask
+        points = [embed_word(int(rng.integers(0, 1 << ell)), block, outside) for _ in range(r)]
         values = [int(rng.integers(0, ell + 1)) for _ in range(r)]
-        return choose_consistent_sub_id(values), points + [a_lo, a_hi]
+        return choose_consistent_sub_id(values), points + [a_lo, a_lo ^ mask]
     params = (int(rng.integers(0, n + 1)),) if family == "flipKWhereDifferent" else None
     op = OperatorId(family, params)
-    return op, [_rand_bs(n, rng) for _ in range(op.arity)]
+    return op, [random_word(n, rng) for _ in range(op.arity)]
 
 
 def _chi2_contingency_p(a: np.ndarray, b: np.ndarray) -> float:
@@ -209,22 +191,20 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     popcount and its distances to the transformed inputs.  The cells are the
     distinct profiles in ascending lexicographic order.
     """
-    op, inputs = _trial_case(family, n, rng)
+    op, in_words = _trial_case(family, n, rng)
     sigma = Permutation.random(n, rng)
-    z = _rand_bs(n, rng)
-    t_inputs = [apply_permutation(sigma, x) ^ z for x in inputs]
-    ref = [b.word for b in t_inputs]
+    z = random_word(n, rng)
+    ref = [apply_permutation(sigma, w) ^ z for w in in_words]
     sample = (
         _control_sample
         if op.name == NEGATIVE_CONTROL_NAME
         else lambda ws, m, g: sample_operator(op, ws, m, g)
     )
-    in_words = [b.word for b in inputs]
     w1, w2 = [], []
     for _ in range(samples):
         w1.append(sample(in_words, n, rng))
         w2.append(sample(ref, n, rng))
-    m1 = permute_words(sigma, np.array(w1, dtype=object)) ^ z.word
+    m1 = permute_words(sigma, np.array(w1, dtype=object)) ^ z
     words = np.concatenate([m1, np.array(w2, dtype=object)])
     rows = [np.bitwise_count(words)] + [np.bitwise_count(words ^ r) for r in ref]
     cells, cell = np.unique(np.array(rows, dtype=np.int64).T, axis=0, return_inverse=True)
@@ -269,13 +249,11 @@ def certify_operator(op, n: int, trials: int, rng, mode: str | None = None) -> C
     passed = True
     if mode == "exact":
         for _ in range(trials):
-            case, inputs = _trial_case(family, n, rng)
-            z = _rand_bs(n, rng)
-            sigma = Permutation.random(n, rng)
-            ok_x, dev_x = check_xor_invariance(case, inputs, z)
-            ok_p, dev_p = check_perm_invariance(case, inputs, sigma)
-            worst = max(worst, dev_x, dev_p)
-            passed = passed and ok_x and ok_p
+            case, words = _trial_case(family, n, rng)
+            z = random_word(n, rng)
+            ok, dev = check_invariance(case, words, z, Permutation.random(n, rng))
+            worst = max(worst, dev)
+            passed = passed and ok
     elif mode == "statistical":
         threshold = STATISTICAL_ALPHA / trials
         for _ in range(trials):

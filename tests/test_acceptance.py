@@ -266,7 +266,7 @@ def test_criterion_7_concentration_bound_margin():
 def test_criterion_8_consistency_sampler():
     # uniformity: 10^5 draws against the enumerated set at dim 10
     rng = np.random.default_rng(808)
-    q = ConsistencyQuery(10, (BitString.zeros(10),), (5,))
+    q = ConsistencyQuery(10, (BitString(10, 0),), (5,))
     support = sorted(x.word for x in consistent_set(q))
     counts = dict.fromkeys(support, 0)
     point_words = [p.word for p in q.points]

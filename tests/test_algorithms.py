@@ -85,7 +85,7 @@ class TestEngine:
         assert f0 + f1 == 4
         (x, fx), (xc, fxc) = oracle.history
         assert (fx, fxc) == (f0, f1)
-        assert (x ^ xc).popcount() == 4
+        assert (x.word ^ xc.word).bit_count() == 4
 
     def test_arity_enforcement(self):
         oracle = Oracle(OneMaxInstance(bs("1010")))
@@ -154,7 +154,7 @@ class TestEngine:
         h, _ = e.apply(UNIFORM_SAMPLE, (), rng)
         hc, _ = e.apply(COMPLEMENT, (h,), rng)
         x, xc = oracle.history[h][0], oracle.history[hc][0]
-        assert (x ^ xc).popcount() == 4
+        assert (x.word ^ xc.word).bit_count() == 4
 
     def test_view_hides_engine_internals(self):
         e = EngineState(Oracle(OneMaxInstance(bs("1010"))), max_arity=2)
@@ -380,7 +380,7 @@ class TestBinaryOneMaxInvariant:
                 elif base == hy and history[idx][1] > history[hy][1]:
                     hy = idx
                     accepted += 1
-                d = (history[hx][0] ^ history[hy][0]).popcount()
+                d = (history[hx][0].word ^ history[hy][0].word).bit_count()
                 assert d == 16 - accepted
 
 

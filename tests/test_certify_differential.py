@@ -5,8 +5,11 @@ indexed by output word, and the certifier pushes it through xor shifts and
 position permutations by index arrays.  Every probability, every deviation
 and every report must be the one the earlier dict-of-``BitString`` code gave,
 and the generator must stand at the same place afterwards.  The earlier
-``OutputDistribution`` (with ``push`` and ``max_deviation``), ``exact_pmf``
-and the two checks are kept here verbatim as the oracle.
+``OutputDistribution`` (with ``push`` and ``max_deviation``), ``exact_pmf``,
+the two checks and the ``BitString`` xor and permutation are kept here as the
+oracle.  They compute on ``BitString`` inside; the two checks take the
+certifier's int words at their boundary, and ``dict_check_invariance`` joins
+them into the one check the certifier makes per trial.
 
 Statistical certification draws its samples in a loop and profiles them in
 one array pass.  The earlier per-sample loop, ``_statistical_trial`` with
@@ -36,6 +39,7 @@ from arityopt.bitcore import (
     apply_permutation,
     differing_positions,
     permute_words,
+    random_word,
 )
 from arityopt.consistency import (
     ENUMERATION_DIM_LIMIT,
@@ -59,14 +63,30 @@ from arityopt.unbiasedness import (
     NEGATIVE_CONTROL_NAME,
     SHIPPED_OPERATOR_FAMILIES,
     certify_operator,
-    check_perm_invariance,
-    check_xor_invariance,
+    check_invariance,
 )
 
 FAMILIES = SHIPPED_OPERATOR_FAMILIES + (NEGATIVE_CONTROL_NAME,)
 _trial_case = unbiasedness._trial_case
-_rand_bs = unbiasedness._rand_bs
 _control_sample = unbiasedness._control_sample
+
+
+def bs_xor(x: BitString, y: BitString) -> BitString:
+    """The earlier ``BitString.__xor__``."""
+    if x.n != y.n:
+        raise ValueError(f"length mismatch: {x.n} != {y.n}")
+    return BitString(x.n, x.word ^ y.word)
+
+
+def bs_apply_permutation(sigma: Permutation, x: BitString) -> BitString:
+    """The earlier ``apply_permutation`` on a ``BitString``."""
+    if sigma.size != x.n:
+        raise ValueError(f"size mismatch: perm {sigma.size} vs bitstring {x.n}")
+    word = 0
+    for i, j in enumerate(sigma.mapping):
+        if (x.word >> j) & 1:
+            word |= 1 << i
+    return BitString(x.n, word)
 
 
 @dataclass(frozen=True)
@@ -185,32 +205,41 @@ def dict_exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None
 
 def _pmf(op, inputs, n):
     if op.name == NEGATIVE_CONTROL_NAME:
-        return OutputDistribution({BitString.ones(n): 1.0})
+        return OutputDistribution({BitString(n, (1 << n) - 1): 1.0})
     return dict_exact_pmf(op, inputs, n=n)
 
 
-def dict_check_xor_invariance(op, inputs, z: BitString) -> tuple[bool, float]:
-    n = z.n
+def dict_check_xor_invariance(op, words: list[int], z: int, n: int) -> tuple[bool, float]:
     if n > EXACT_PMF_LIMIT:
         raise ExactEnumerationUnavailable(
             f"length {n} exceeds exact pmf limit {EXACT_PMF_LIMIT}"
         )
-    pushed = _pmf(op, inputs, n).push(lambda b: b ^ z)
-    shifted = _pmf(op, [x ^ z for x in inputs], n)
+    inputs = [BitString(n, w) for w in words]
+    z = BitString(n, z)
+    pushed = _pmf(op, inputs, n).push(lambda b: bs_xor(b, z))
+    shifted = _pmf(op, [bs_xor(x, z) for x in inputs], n)
     dev = pushed.max_deviation(shifted)
     return dev <= EXACT_TOLERANCE, dev
 
 
-def dict_check_perm_invariance(op, inputs, sigma: Permutation) -> tuple[bool, float]:
+def dict_check_perm_invariance(op, words: list[int], sigma: Permutation) -> tuple[bool, float]:
     n = sigma.size
     if n > EXACT_PMF_LIMIT:
         raise ExactEnumerationUnavailable(
             f"length {n} exceeds exact pmf limit {EXACT_PMF_LIMIT}"
         )
-    pushed = _pmf(op, inputs, n).push(lambda b: apply_permutation(sigma, b))
-    permuted = _pmf(op, [apply_permutation(sigma, x) for x in inputs], n)
+    inputs = [BitString(n, w) for w in words]
+    pushed = _pmf(op, inputs, n).push(lambda b: bs_apply_permutation(sigma, b))
+    permuted = _pmf(op, [bs_apply_permutation(sigma, x) for x in inputs], n)
     dev = pushed.max_deviation(permuted)
     return dev <= EXACT_TOLERANCE, dev
+
+
+def dict_check_invariance(op, words: list[int], z: int, sigma: Permutation) -> tuple[bool, float]:
+    """The two dict checks as the certifier's exact loop combined them."""
+    ok_x, dev_x = dict_check_xor_invariance(op, words, z, sigma.size)
+    ok_p, dev_p = dict_check_perm_invariance(op, words, sigma)
+    return ok_x and ok_p, max(dev_x, dev_p)
 
 
 def _profile_key(word: int, ref_words: list[int]) -> tuple:
@@ -222,10 +251,11 @@ def loop_statistical_trial(family, n, rng, samples: int) -> tuple[float, float, 
     against op on the transformed inputs.  Returns (p value, max freq diff,
     contingency table), the table as its two rows (a, b), or None when the
     merged cells leave fewer than two columns and p is 1 without a test."""
-    op, inputs = _trial_case(family, n, rng)
+    op, words = _trial_case(family, n, rng)
+    inputs = [BitString(n, w) for w in words]
     sigma = Permutation.random(n, rng)
-    z = _rand_bs(n, rng)
-    t_inputs = [apply_permutation(sigma, x) ^ z for x in inputs]
+    z = BitString(n, random_word(n, rng))
+    t_inputs = [bs_xor(bs_apply_permutation(sigma, x), z) for x in inputs]
     ref = [b.word for b in t_inputs]
     sample = (
         _control_sample
@@ -237,7 +267,7 @@ def loop_statistical_trial(family, n, rng, samples: int) -> tuple[float, float, 
     counts2: dict = {}
     for _ in range(samples):
         w1 = sample(in_words, n, rng)
-        m1 = (apply_permutation(sigma, BitString(n, w1)) ^ z).word
+        m1 = bs_xor(bs_apply_permutation(sigma, BitString(n, w1)), z).word
         k1 = _profile_key(m1, ref)
         counts1[k1] = counts1.get(k1, 0) + 1
         w2 = sample(ref, n, rng)
@@ -275,35 +305,49 @@ def loop_p_and_deviation(family, n, rng, samples: int) -> tuple[float, float]:
 
 @st.composite
 def cases(draw):
-    """(n, operator, inputs, z, sigma): one certification trial's case from
+    """(n, operator, words, z, sigma): one certification trial's case from
     ``_trial_case`` on a drawn seed, and a drawn shift and permutation."""
     family = draw(st.sampled_from(FAMILIES))
     n = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
-    op, inputs = unbiasedness._trial_case(family, n, rng)
-    z = BitString(n, draw(st.integers(0, (1 << n) - 1)))
+    op, words = unbiasedness._trial_case(family, n, rng)
+    z = draw(st.integers(0, (1 << n) - 1))
     sigma = Permutation(tuple(draw(st.permutations(range(n)))))
-    return n, op, inputs, z, sigma
+    return n, op, words, z, sigma
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(n)))
 
 
 class TestChecksMatchDictPmfs:
     @settings(max_examples=400, deadline=None)
     @given(cases())
     def test_same_passed_and_deviation(self, case):
-        n, op, inputs, z, sigma = case
-        got = check_xor_invariance(op, inputs, z)
-        assert got == dict_check_xor_invariance(op, inputs, z)
+        n, op, words, z, sigma = case
+        got = check_invariance(op, words, z, sigma)
+        assert got == dict_check_invariance(op, words, z, sigma)
         assert type(got[1]) is float
-        got = check_perm_invariance(op, inputs, sigma)
-        assert got == dict_check_perm_invariance(op, inputs, sigma)
+
+    @settings(max_examples=400, deadline=None)
+    @given(cases())
+    def test_each_condition_alone_matches_its_dict_check(self, case):
+        # identity sigma leaves only the shift, z = 0 only the permutation
+        n, op, words, z, sigma = case
+        got = check_invariance(op, words, z, identity(n))
+        assert got == dict_check_xor_invariance(op, words, z, n)
+        assert type(got[1]) is float
+        got = check_invariance(op, words, 0, sigma)
+        assert got == dict_check_perm_invariance(op, words, sigma)
         assert type(got[1]) is float
 
     @settings(max_examples=400, deadline=None)
     @given(cases())
     def test_exact_pmf_support_is_the_dict_support(self, case):
-        n, op, inputs, _, _ = case
+        n, op, words, _, _ = case
         if op is NEGATIVE_CONTROL:
             return
+        inputs = [BitString(n, w) for w in words]
         got = exact_pmf(op, inputs, n=n).support
         assert got == dict_exact_pmf(op, inputs, n=n).support
         assert all(type(p) is float for p in got.values())
@@ -316,8 +360,7 @@ class TestChecksMatchDictPmfs:
         got = certify_operator(family, n, trials, rng)
         ref_rng = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(unbiasedness, "check_xor_invariance", dict_check_xor_invariance)
-            mp.setattr(unbiasedness, "check_perm_invariance", dict_check_perm_invariance)
+            mp.setattr(unbiasedness, "check_invariance", dict_check_invariance)
             want = certify_operator(family, n, trials, ref_rng)
         assert got == want
         assert repr(got.worst_deviation) == repr(want.worst_deviation)
@@ -325,20 +368,33 @@ class TestChecksMatchDictPmfs:
 
     @pytest.mark.parametrize("check", ["xor", "perm"])
     def test_same_errors(self, check):
+        # an int carries no length, so the earlier length mismatch is now a
+        # word that does not fit in n bits
+        def reverse(n):
+            return Permutation(tuple(range(n))[::-1])
+
         new, old = {
-            "xor": (check_xor_invariance, dict_check_xor_invariance),
-            "perm": (check_perm_invariance, dict_check_perm_invariance),
+            "xor": (lambda op, ws, n: check_invariance(op, ws, (1 << n) - 1, identity(n)),
+                    lambda op, ws, n: dict_check_xor_invariance(op, ws, (1 << n) - 1, n)),
+            "perm": (lambda op, ws, n: check_invariance(op, ws, 0, reverse(n)),
+                     lambda op, ws, n: dict_check_perm_invariance(op, ws, reverse(n))),
         }[check]
-        t = BitString.zeros(6) if check == "xor" else Permutation(tuple(range(6)))
-        big = BitString.zeros(17) if check == "xor" else Permutation(tuple(range(17)))
-        short = [BitString.zeros(5), BitString.zeros(5)]
         for fn in (new, old):
+            with pytest.raises(ValueError, match="does not fit"):
+                fn(FLIP_ONE_WHERE_DIFFERENT, [1 << 6, 0], 6)
+            with pytest.raises(ValueError, match="does not fit"):
+                fn(NEGATIVE_CONTROL, [1 << 6], 6)
             with pytest.raises(ValueError):
-                fn(FLIP_ONE_WHERE_DIFFERENT, short, t)
-            with pytest.raises(ValueError):
-                fn(COMPLEMENT, [BitString.zeros(6), BitString.zeros(6)], t)
+                fn(COMPLEMENT, [0, 0], 6)
             with pytest.raises(ExactEnumerationUnavailable):
-                fn(COMPLEMENT, [BitString.zeros(17)], big)
+                fn(COMPLEMENT, [0], 17)
+
+    def test_shift_that_does_not_fit_is_rejected(self):
+        for fn in (lambda z: check_invariance(COMPLEMENT, [0], z, identity(6)),
+                   lambda z: dict_check_xor_invariance(COMPLEMENT, [0], z, 6)):
+            for z in (1 << 6, -1):
+                with pytest.raises(ValueError, match="does not fit"):
+                    fn(z)
 
 
 STATISTICAL_NS = (1, 2, 8, 16, 17, 20, 24, 64, 65, 100)
@@ -446,26 +502,38 @@ class TestChi2MatchesScipy:
 
 class TestPushDirection:
     """Unbiased operators deviate by 0 whichever way sigma is pushed, so the
-    direction is checked on pmfs with no symmetry."""
+    direction is checked on pmfs with no symmetry.  A stand-in ``pmf_vector``
+    gives a drawn pmf v on the word x and the dict push of v on the
+    transformed word; ``check_invariance`` then deviates by exactly 0 only
+    where its push equals the dict push entrywise."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 10).flatmap(
         lambda n: st.tuples(st.permutations(range(n)), st.integers(0, (1 << n) - 1),
-                            st.integers(0, 2**64 - 1))))
+                            st.integers(0, (1 << n) - 1), st.integers(0, 2**64 - 1))))
     def test_push_matches_dict_push_entrywise(self, drawn):
-        mapping, z, seed = drawn
+        mapping, x, z, seed = drawn
         n = len(mapping)
         sigma = Permutation(tuple(mapping))
         weights = np.random.default_rng(seed).random(1 << n) + 0.01
         v = weights / weights.sum()
         dist = OutputDistribution({BitString(n, w): p for w, p in enumerate(v.tolist())})
-        words = np.arange(1 << n)
-        pushed = unbiasedness._push(v, permute_words(sigma, words))
-        want = dist.push(lambda b: apply_permutation(sigma, b))
-        assert pushed.tolist() == [want.prob(BitString(n, w)) for w in range(1 << n)]
-        pushed = unbiasedness._push(v, words ^ z)
-        want = dist.push(lambda b: b ^ BitString(n, z))
-        assert pushed.tolist() == [want.prob(BitString(n, w)) for w in range(1 << n)]
+
+        def vector(d):
+            return np.array([d.prob(BitString(n, w)) for w in range(1 << n)])
+
+        def check(pmfs, word, z, sigma):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(unbiasedness, "pmf_vector", lambda op, ws, m: pmfs[ws[0]])
+                return check_invariance(COMPLEMENT, [word], z, sigma)
+
+        want = vector(dist.push(lambda b: bs_xor(b, BitString(n, z))))
+        assert check({x: v, x ^ z: want}, x, z, identity(n)) == (True, 0.0)
+        # a word sigma moves, so the two pmfs of the stand-in sit at two words
+        xp = next((1 << i for i, j in enumerate(mapping) if i != j), x)
+        yp = bs_apply_permutation(sigma, BitString(n, xp)).word
+        want = vector(dist.push(lambda b: bs_apply_permutation(sigma, b)))
+        assert check({xp: v, yp: want}, xp, 0, sigma) == (True, 0.0)
 
 
 class TestPermuteWords:
@@ -475,9 +543,9 @@ class TestPermuteWords:
         n = len(mapping)
         sigma = Permutation(tuple(mapping))
         table = permute_words(sigma, np.arange(1 << n))
-        assert table.tolist() == [
-            apply_permutation(sigma, BitString(n, w)).word for w in range(1 << n)
-        ]
+        want = [bs_apply_permutation(sigma, BitString(n, w)).word for w in range(1 << n)]
+        assert table.tolist() == want
+        assert [apply_permutation(sigma, w) for w in range(1 << n)] == want
 
     @settings(max_examples=10, deadline=None)
     @given(st.permutations(range(16)), st.integers(0, 2**64 - 1))
@@ -488,4 +556,5 @@ class TestPermuteWords:
         words = [0, 1, 1 << 15, (1 << 16) - 1]
         words += np.random.default_rng(seed).integers(0, 1 << 16, size=500).tolist()
         for w in words:
-            assert table[w] == apply_permutation(sigma, BitString(16, w)).word
+            assert table[w] == bs_apply_permutation(sigma, BitString(16, w)).word
+            assert table[w] == apply_permutation(sigma, w)

@@ -188,6 +188,30 @@ class TestFit:
         proc = run_cli("fit", "--input", "/no/such/file.csv", "--model", "a_n")
         assert proc.returncode == 2
 
+    def test_one_group_exits_1(self, tmp_path):
+        path = str(tmp_path / "rls.csv")
+        proc = run_cli("run", "--algorithm", "rls", "--class", "onemax", "--n", "8",
+                       "--trials", "3", "--out", path)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("fit", "--input", path, "--model", "a_n")
+        assert proc.returncode == 1
+        assert "configuration error: need at least 3 distinct (n, k) groups, got 1" in proc.stderr
+
+    @pytest.mark.parametrize("model, outcome, message", [
+        ("a_n_over_logk", "true,false", "a_n_over_logk needs k >= 2 in records, got k=0"),
+        # every run hit the budget, so no group is left to fit
+        ("a_n", "false,true", "need at least 3 distinct (n, k) groups, got 0"),
+    ])
+    def test_csv_that_cannot_carry_the_fit_exits_1(self, tmp_path, model, outcome, message):
+        path = str(tmp_path / "star.csv")
+        rows = [f"{i},star_ary_onemax,onemax,{n},0,{i},{n + 10},{outcome}"
+                for i, n in enumerate((8, 10, 12))]
+        with open(path, "w") as fh:
+            fh.write("\n".join([RUNS_HEADER, *rows]) + "\n")
+        proc = run_cli("fit", "--input", path, "--model", model)
+        assert proc.returncode == 1
+        assert f"configuration error: {message}" in proc.stderr
+
 
 class TestReport:
     def test_rebuilds_summary(self, runs_csv, tmp_path):

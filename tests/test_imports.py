@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses or exports a name
+it does not define.
 
 The project ships no linter, so this is the unused-import check (pyflakes'
 F401) in the standard library: every name that an ``import`` binds in a
@@ -6,11 +7,15 @@ module of ``src/arityopt/`` must be read somewhere in that module or listed
 in its ``__all__``.  An import whose own line or whose statement's first
 line carries ``# noqa: F401`` is exempt: such a name is read by module
 attribute or through ``globals()``, which the syntax tree does not show.
+
+Every name in a module's ``__all__`` must exist on that module, or
+``from arityopt.<module> import *`` fails on the stale entry.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,3 +60,22 @@ def test_check_finds_an_unused_import():
         "f: Callable = np.sum\n"
     )
     assert unused_imports(source) == [(1, "NamedTuple")]
+
+
+def missing_exports(module) -> list[str]:
+    """Names in the module's ``__all__`` that the module does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_exists(path):
+    name = "arityopt" if path.stem == "__init__" else f"arityopt.{path.stem}"
+    module = importlib.import_module(name)
+    assert missing_exports(module) == []
+
+
+def test_check_finds_a_stale_export():
+    module = type(importlib)("stale")
+    module.__all__ = ["present", "gone"]
+    module.present = None
+    assert missing_exports(module) == ["gone"]

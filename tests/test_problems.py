@@ -83,7 +83,7 @@ class TestLeadingOnes:
                 x = BitString(n, int(w))
                 v = 0
                 for pos in inst.sigma.mapping:
-                    if x.bit(pos) != inst.z.bit(pos):
+                    if ((x.word ^ inst.z.word) >> pos) & 1:
                         break
                     v += 1
                 assert inst.evaluate_word(x.word) == v

@@ -19,48 +19,59 @@ from arityopt.unbiasedness import (
     NEGATIVE_CONTROL_NAME,
     SHIPPED_OPERATOR_FAMILIES,
     certify_operator,
-    check_perm_invariance,
-    check_xor_invariance,
+    check_invariance,
 )
 
 
-def bs(s: str) -> BitString:
-    return BitString.from_string(s)
+def w(s: str) -> int:
+    return BitString.from_string(s).word
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(n)))
 
 
 class TestInvarianceChecks:
+    """Each check isolates one condition: identity sigma leaves only the xor
+    shift, z = 0 leaves only the permutation."""
+
     def test_xor_invariance_holds_for_flip_one(self):
-        ok, dev = check_xor_invariance(
-            FLIP_ONE_WHERE_DIFFERENT, [bs("000000"), bs("110100")], bs("101010")
+        ok, dev = check_invariance(
+            FLIP_ONE_WHERE_DIFFERENT, [w("000000"), w("110100")], w("101010"), identity(6)
         )
         assert ok and dev <= EXACT_TOLERANCE
 
     def test_perm_invariance_holds_for_rwd(self):
         sigma = Permutation((2, 0, 3, 1, 4))
-        ok, dev = check_perm_invariance(
-            RANDOM_WHERE_DIFFERENT, [bs("00000"), bs("11010")], sigma
+        ok, dev = check_invariance(
+            RANDOM_WHERE_DIFFERENT, [w("00000"), w("11010")], 0, sigma
         )
         assert ok and dev <= EXACT_TOLERANCE
 
     def test_deterministic_ternary_operator(self):
-        ok, _ = check_xor_invariance(
-            UPDATE, [bs("0101"), bs("1100"), bs("0110")], bs("1111")
+        ok, _ = check_invariance(
+            UPDATE, [w("0101"), w("1100"), w("0110")], w("1111"), identity(4)
         )
         assert ok
 
     def test_identity_transformations_give_zero_deviation(self):
-        z = BitString.zeros(6)
-        ok, dev = check_xor_invariance(flip_k_id(2), [bs("000000"), bs("111111")], z)
-        assert ok and dev == 0.0
-        ok, dev = check_perm_invariance(
-            flip_k_id(2), [bs("000000"), bs("111111")], Permutation(tuple(range(6)))
-        )
+        ok, dev = check_invariance(flip_k_id(2), [w("000000"), w("111111")], 0, identity(6))
         assert ok and dev == 0.0
 
     def test_negative_control_breaks_xor_invariance(self):
-        ok, dev = check_xor_invariance(NEGATIVE_CONTROL, [bs("0000")], bs("1000"))
+        ok, dev = check_invariance(NEGATIVE_CONTROL, [w("0000")], w("1000"), identity(4))
         assert not ok
         assert dev >= 0.5
+
+    def test_negative_control_breaks_xor_and_passes_perm(self):
+        # all-ones is fixed by every permutation, so only the shift breaks it
+        sigma = Permutation((2, 0, 3, 1))
+        assert check_invariance(NEGATIVE_CONTROL, [w("0110")], 0, sigma) == (True, 0.0)
+        assert check_invariance(NEGATIVE_CONTROL, [w("0110")], w("0011"), identity(4)) == (False, 1.0)
+
+    def test_limit_checked_before_any_pmf(self):
+        with pytest.raises(ExactEnumerationUnavailable):
+            check_invariance(NEGATIVE_CONTROL, [0], 0, identity(17))
 
 
 class TestCertifyOperator:
