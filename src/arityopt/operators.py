@@ -5,8 +5,8 @@ operator's distribution using a caller-supplied generator, and (for n up to
 16) the exact probability mass function over outputs.  The pmf form is what
 makes unbiasedness certification exact instead of statistical.  It is defined
 once, by ``pmf_vector``: a dense float64 array of length 2**n indexed by
-output word, which the certifier pushes through xor shifts and permutations
-by index arrays.  ``exact_pmf`` is the same pmf as an ``OutputDistribution``
+output word, which the certifier pushes through xor shifts by an index
+array and through permutations by a tensor transpose.  ``exact_pmf`` is the same pmf as an ``OutputDistribution``
 over ``BitString`` outputs, built from the vector's nonzero entries.
 
 The word-level kernels are the only definition of what an operator samples.
@@ -109,13 +109,14 @@ def _k_flip_one(words, n, params, rng):
 
 def _k_flip_k(words, n, params, rng):
     x, y = words
-    pos = differing_positions(x, y, n).tolist()
-    take = min(params[0], len(pos))
+    d = x ^ y
+    c = d.bit_count()
+    take = min(params[0], c)
     if take == 0:
         return y
     out = y
-    for r in rng.choice(len(pos), size=take, replace=False).tolist():
-        out ^= 1 << pos[r]
+    for r in rng.choice(c, size=take, replace=False).tolist():
+        out ^= 1 << nth_set_bit(d, r)
     return out
 
 

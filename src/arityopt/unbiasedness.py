@@ -10,19 +10,19 @@ as a negative control for the certification pipeline itself.
 Everything is computed on int words.  One exact check per trial builds the
 pmf of the trial's words once, as a dense vector from
 ``operators.pmf_vector`` indexed by output word, and pushes it through both
-bijections of words by one scatter each through a table of their images:
-``arange(2**n) ^ z`` for the xor shift, and ``bitcore.permute_words`` over
-``arange(2**n)`` for the permutation.  A push only moves entries and sums
-none, so every probability, deviation and report is the one a dict pmf over
-``BitString`` outputs gives.
+bijections of words.  The xor shift is one scatter through the table
+``arange(2**n) ^ z``.  The permutation moves the bits of every index, so it
+is a transpose of the vector seen as a ``(2,)*n`` tensor with one axis per
+bit.  A push only moves entries and sums none, so every probability,
+deviation and report is the one a dict pmf over ``BitString`` outputs gives.
 
 A statistical trial draws its two samples interleaved, every draw through
-``operators.sample_operator``, and then maps and profiles each side in one
-array pass: the first side is pushed through the automorphism by
-``permute_words``, and every sample becomes a row of Hamming distances
-counted by ``np.bitwise_count``.  The two sides' profile counts are then
-compared by Pearson's chi-square test, computed with the standard library's
-``math.erfc``, ``math.exp`` and ``math.lgamma``.
+``operators.sample_operator``, and then maps and profiles them in one pass
+over an array of int64 words (of Python ints from n = 64 on): side 1 is
+pushed through the automorphism by ``permute_words``, and every sample
+becomes a row of Hamming distances counted by ``np.bitwise_count``.  The
+two sides' profile counts are then compared by Pearson's chi-square test,
+computed with ``math.erfc``, ``math.exp`` and ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -95,6 +95,12 @@ def _control_sample(inputs, n, rng):
     return (1 << n) - 1
 
 
+def _permute_pmf(v: np.ndarray, sigma: Permutation) -> np.ndarray:
+    """v pushed through sigma: a transpose of the (2,)*n tensor, whose axis k is bit n-1-k."""
+    n, m = sigma.size, sigma.mapping
+    return v.reshape((2,) * n).transpose([n - 1 - m[n - 1 - k] for k in range(n)]).reshape(-1)
+
+
 def check_invariance(op, words: list[int], z: int, sigma: Permutation) -> tuple[bool, float]:
     """Exact check of both equivariance conditions on n = sigma.size bits.
 
@@ -110,14 +116,12 @@ def check_invariance(op, words: list[int], z: int, sigma: Permutation) -> tuple[
     if z < 0 or z >> n:
         raise ValueError(f"word {z:#x} does not fit in {n} bits")
     v = _pmf(op, words, n)
-    table = np.arange(1 << n)
-    # each table is a bijection, so one scatter overwrites every entry
+    # the xor table is a bijection, so one scatter overwrites every entry
     pushed = np.empty_like(v)
-    pushed[table ^ z] = v
+    pushed[np.arange(1 << n) ^ z] = v
     dev_x = float(np.abs(pushed - _pmf(op, [w ^ z for w in words], n)).max())
-    pushed[permute_words(sigma, table)] = v
     permuted = [apply_permutation(sigma, w) for w in words]
-    dev_p = float(np.abs(pushed - _pmf(op, permuted, n)).max())
+    dev_p = float(np.abs(_permute_pmf(v, sigma) - _pmf(op, permuted, n)).max())
     dev = max(dev_x, dev_p)
     return dev <= EXACT_TOLERANCE, dev
 
@@ -185,10 +189,10 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     against op on the transformed inputs.  Returns (p value, max freq diff).
 
     The loop only draws: the samples of the two sides interleave, each
-    through ``sample_operator``.  Afterwards the samples are mapped and
-    profiled in one pass over an object array, which holds words of any n:
-    side 1 is pushed through the automorphism, and every sample becomes its
-    popcount and its distances to the transformed inputs.  The cells are the
+    through ``sample_operator``.  Afterwards one array pass, on int64 words
+    for n < 64 and on Python ints above, maps and profiles them: side 1 is
+    pushed through the automorphism, and every sample becomes its popcount
+    and its distances to the transformed inputs.  The cells are the
     distinct profiles in ascending lexicographic order.
     """
     op, in_words = _trial_case(family, n, rng)
@@ -204,8 +208,8 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     for _ in range(samples):
         w1.append(sample(in_words, n, rng))
         w2.append(sample(ref, n, rng))
-    m1 = permute_words(sigma, np.array(w1, dtype=object)) ^ z
-    words = np.concatenate([m1, np.array(w2, dtype=object)])
+    words = np.array(w1 + w2, dtype=np.int64 if n < 64 else object)
+    words[:samples] = permute_words(sigma, words[:samples]) ^ z
     rows = [np.bitwise_count(words)] + [np.bitwise_count(words ^ r) for r in ref]
     cells, cell = np.unique(np.array(rows, dtype=np.int64).T, axis=0, return_inverse=True)
     c1 = np.bincount(cell[:samples], minlength=len(cells)).astype(float)

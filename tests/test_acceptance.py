@@ -7,7 +7,6 @@ expensive run backs every assertion on it.
 
 from __future__ import annotations
 
-import json
 import math
 import subprocess
 import sys

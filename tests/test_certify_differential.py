@@ -1,10 +1,12 @@
 """Exact certification on dense pmf vectors against the dict pmfs it replaced.
 
 ``operators.pmf_vector`` gives an operator's exact pmf as a float64 array
-indexed by output word, and the certifier pushes it through xor shifts and
-position permutations by index arrays.  Every probability, every deviation
-and every report must be the one the earlier dict-of-``BitString`` code gave,
-and the generator must stand at the same place afterwards.  The earlier
+indexed by output word, and the certifier pushes it through xor shifts by an
+index array and through position permutations by a tensor transpose, which
+``TestPermutePmf`` checks against the scatter through ``permute_words``'s
+table that it replaced.  Every probability, every deviation and every report
+must be the one the earlier dict-of-``BitString`` code gave, and the
+generator must stand at the same place afterwards.  The earlier
 ``OutputDistribution`` (with ``push`` and ``max_deviation``), ``exact_pmf``,
 the two checks and the ``BitString`` xor and permutation are kept here as the
 oracle.  They compute on ``BitString`` inside; the two checks take the
@@ -12,7 +14,8 @@ certifier's int words at their boundary, and ``dict_check_invariance`` joins
 them into the one check the certifier makes per trial.
 
 Statistical certification draws its samples in a loop and profiles them in
-one array pass.  The earlier per-sample loop, ``_statistical_trial`` with
+one array pass, on int64 words below n = 64 and on Python ints from there
+on.  The earlier per-sample loop, ``_statistical_trial`` with
 ``_profile_key``, is kept here as its oracle: every contingency table, every
 deviation and the generator state after a trial must be the same.  The loop
 still takes its p value from ``scipy.stats.chi2_contingency``, the test the
@@ -23,7 +26,7 @@ values are also compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from math import fsum
 
 import numpy as np
@@ -397,12 +400,13 @@ class TestChecksMatchDictPmfs:
                     fn(z)
 
 
-STATISTICAL_NS = (1, 2, 8, 16, 17, 20, 24, 64, 65, 100)
+STATISTICAL_NS = (1, 2, 8, 16, 17, 20, 24, 62, 63, 64, 65, 100)
 
 
 class TestStatisticalTrialMatchesLoop:
     """The array pass against the per-sample loop, at lengths on both sides
-    of the exact limit (16), the enumeration limit (24) and a 64-bit word."""
+    of the exact limit (16), the enumeration limit (24) and the switch from
+    int64 to object arrays (n = 64)."""
 
     @pytest.mark.parametrize("n", STATISTICAL_NS)
     @pytest.mark.parametrize("family", FAMILIES)
@@ -534,6 +538,33 @@ class TestPushDirection:
         yp = bs_apply_permutation(sigma, BitString(n, xp)).word
         want = vector(dist.push(lambda b: bs_apply_permutation(sigma, b)))
         assert check({xp: v, yp: want}, xp, 0, sigma) == (True, 0.0)
+
+
+def scatter_push(v: np.ndarray, sigma: Permutation) -> np.ndarray:
+    """v pushed through sigma by one scatter through ``permute_words``'s table."""
+    out = np.empty_like(v)
+    out[permute_words(sigma, np.arange(v.size))] = v
+    return out
+
+
+class TestPermutePmf:
+    """The transpose that pushes a pmf through sigma against the scatter it
+    replaced, on pmfs with distinct entries, so any misplaced entry shows."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_permutation_up_to_n_6(self, n):
+        v = np.random.default_rng(n).random(1 << n)
+        for mapping in permutations(range(n)):
+            sigma = Permutation(mapping)
+            assert np.array_equal(unbiasedness._permute_pmf(v, sigma), scatter_push(v, sigma))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from((12, 16)).flatmap(lambda n: st.permutations(range(n))),
+           st.integers(0, 2**64 - 1))
+    def test_random_permutations_at_n_12_and_16(self, mapping, seed):
+        sigma = Permutation(tuple(mapping))
+        v = np.random.default_rng(seed).random(1 << len(mapping))
+        assert np.array_equal(unbiasedness._permute_pmf(v, sigma), scatter_push(v, sigma))
 
 
 class TestPermuteWords:

@@ -19,7 +19,7 @@ from arityopt.consistency import (
     embed_word,
 )
 from arityopt.operators import choose_consistent_sub_id, sample_operator
-from arityopt.problems import OneMaxInstance, random_instance
+from arityopt.problems import random_instance
 
 ALPHA = 1e-3
 

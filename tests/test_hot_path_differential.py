@@ -1,13 +1,14 @@
 """The pure-int hot path against the numpy code it replaced.
 
 ``flipOneWhereDifferent`` picks its flipped bit with ``bitcore.nth_set_bit``,
-``flipKWhereDifferent`` reads the differing positions off the int, and
-monotone evaluation selects weights with ``ndarray.compress``.  Each must
-reproduce the earlier numpy code exactly: the same output word, the same
-generator position afterwards and bit-identical floats, so that seeded runs
-keep their query counts and output bytes.  The earlier code is kept here
-verbatim as the oracle; the second value its kernels return is a draw
-record, which the comparisons ignore.
+``flipKWhereDifferent`` flips the set bits of ``x ^ y`` at the ranks it
+draws, each also found by ``nth_set_bit``, and monotone evaluation selects
+weights with ``ndarray.compress``.  Each must reproduce the earlier numpy
+code exactly: the same output word, the same generator position afterwards
+and bit-identical floats, so that seeded runs keep their query counts and
+output bytes.  The earlier code is kept here verbatim as the oracle; the
+second value its kernels return is a draw record, which the comparisons
+ignore.
 """
 
 from __future__ import annotations

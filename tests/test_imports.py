@@ -1,12 +1,13 @@
-"""No module of the package imports a name it never uses or exports a name
-it does not define.
+"""No module of the package, its tests or its demos imports a name it never
+uses, and no module of the package exports a name it does not define.
 
 The project ships no linter, so this is the unused-import check (pyflakes'
 F401) in the standard library: every name that an ``import`` binds in a
-module of ``src/arityopt/`` must be read somewhere in that module or listed
-in its ``__all__``.  An import whose own line or whose statement's first
-line carries ``# noqa: F401`` is exempt: such a name is read by module
-attribute or through ``globals()``, which the syntax tree does not show.
+module of ``src/arityopt/``, ``tests/`` or ``demos/`` must be read somewhere
+in that module or listed in its ``__all__``.  An import whose own line or
+whose statement's first line carries ``# noqa: F401`` is exempt: such a name
+is read by module attribute or through ``globals()``, which the syntax tree
+does not show.
 
 Every name in a module's ``__all__`` must exist on that module, or
 ``from arityopt.<module> import *`` fails on the stale entry.
@@ -20,8 +21,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "arityopt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "arityopt"
+CHECKED = [p for d in (SRC, ROOT / "tests", ROOT / "demos") for p in sorted(d.glob("*.py"))]
 NOQA = "# noqa: F401"
+
+
+def path_id(path: Path) -> str:
+    """A package module by its file name, any other file as ``dir/name``."""
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -47,7 +55,7 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in imported if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=path_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
