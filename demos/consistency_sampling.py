@@ -2,8 +2,8 @@
 
 Each observation pairs a queried point with its agreement count against the
 hidden string.  The consistent set is enumerated exactly at small dimension,
-and choose_consistent_word draws uniformly from it; this demo shows the set
-shrinking as observations accumulate and the draw frequencies staying flat.
+and the chooseConsistent operator draws uniformly from it; this demo shows the
+set shrinking as observations accumulate and the draw frequencies staying flat.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from arityopt.bitcore import BitString
-from arityopt.consistency import ConsistencyQuery, choose_consistent_word, consistent_set
+from arityopt.consistency import ConsistencyQuery, consistent_set
+from arityopt.operators import choose_consistent_id, sample_operator
 from arityopt.problems import Oracle, random_instance
 
 
@@ -36,9 +37,9 @@ def flat_frequencies(dim: int, draws: int) -> None:
     support = consistent_set(q)
     rng = np.random.default_rng(99)
     counts: dict[int, int] = {}
-    point_words = [p.word for p in q.points]
+    op, point_words = choose_consistent_id(q.values), [p.word for p in q.points]
     for _ in range(draws):
-        w = choose_consistent_word(dim, point_words, q.values, rng)
+        w = sample_operator(op, point_words, dim, rng)
         counts[w] = counts.get(w, 0) + 1
     freqs = np.array(sorted(counts.values()))
     print(f"\n{draws} draws over a {len(support)}-string consistent set:")

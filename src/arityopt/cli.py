@@ -166,6 +166,8 @@ def _cmd_verify_unbiased(args) -> int:
             raise ConfigError(f"{flag} must be positive, got {value}")
     if args.n > ENUMERATION_DIM_LIMIT:
         raise ConfigError(f"--n must be at most the enumeration limit {ENUMERATION_DIM_LIMIT}, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     names = SHIPPED_OPERATOR_FAMILIES + (NEGATIVE_CONTROL_NAME,)
     reports = [certify_operator(name, args.n, args.trials, rng) for name in names]

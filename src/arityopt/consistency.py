@@ -1,11 +1,11 @@
-"""Uniform sampling from agreement-consistent hypothesis sets.
+"""Exact enumeration of agreement-consistent hypothesis sets.
 
 Given queried points x^1..x^t and their observed agreement counts u^1..u^t,
-the consistent set is every z with agreement(z, x^i) = u^i for all i.  The
-samplers here enumerate that set exactly (the enumeration is the correctness
-oracle, not an approximation) and draw from it with a single uniform index
-into the ascending array of survivors, which makes the draw exactly uniform
-rather than approximately so.
+the consistent set is every z with agreement(z, x^i) = u^i for all i.  This
+module enumerates that set exactly (the enumeration is the correctness
+oracle, not an approximation), projects a ``chooseConsistentSub`` history
+onto its block and embeds block words back.  The samplers are the
+chooseConsistent kernels in ``operators``.
 
 The enumeration (``consistent_words``) is a meet-in-the-middle join in the
 manner of Horowitz and Sahni: a word splits into a high and a low half, the
@@ -17,10 +17,9 @@ a single filter pass over all words.  Enumeration is bounded at dimension 24;
 beyond that the operations fail loudly instead of degrading.
 
 ``consistent_words`` remembers its results for the last two distinct argument
-sets and returns them read-only.  Two is what the certifier's callers revisit:
-a statistical trial alternates between an input set and its transformed image
-on every sample, and an exact trial's xor and permutation checks each build
-the pmf of the same inputs.
+sets and returns them read-only.  Only statistical certification trials hit
+the memo: each alternates between an input set and its transformed image on
+every sample, where an exact trial builds each pmf once.
 """
 
 from __future__ import annotations
@@ -30,15 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitcore import BitString, differing_positions, random_word
+from .bitcore import BitString, differing_positions
 
 __all__ = [
     "ExactEnumerationUnavailable",
     "ConsistencyQuery",
     "consistent_set",
     "consistent_words",
-    "choose_consistent_word",
-    "choose_consistent_sub_word",
     "block_projection",
     "embed_word",
     "ENUMERATION_DIM_LIMIT",
@@ -113,7 +110,8 @@ def consistent_words(dim: int, point_words, values) -> np.ndarray:
 
     The array is read-only and shared: a call whose (dim, words, values)
     equal one of the last two distinct calls' returns that call's array
-    without enumerating.  Invalid arguments raise on every call.
+    without enumerating.  Every value must lie in 0..dim and every point in
+    0..2**dim - 1; invalid arguments raise ``ValueError`` on every call.
     """
     _require_enumerable(dim)
     if len(point_words) != len(values):
@@ -124,6 +122,9 @@ def consistent_words(dim: int, point_words, values) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _join(dim: int, point_words: tuple, values: tuple) -> np.ndarray:
     """The enumeration behind ``consistent_words``, memoised by its arguments."""
+    for w, u in zip(point_words, values):
+        if not (0 <= w < 1 << dim and 0 <= u <= dim):
+            raise ValueError(f"need points below 2**{dim} and values in 0..{dim}, got point {w} with value {u}")
     lo_bits = dim // 2 if dim >= _SPLIT_MIN_DIM else 0
     xs = np.array(point_words, dtype=np.uint32).reshape(-1, 1)
     target = np.array([dim - u for u in values], dtype=np.uint8).reshape(-1, 1)
@@ -171,19 +172,6 @@ def consistent_set(q: ConsistencyQuery) -> set[BitString]:
     return {BitString(q.dim, int(w)) for w in words}
 
 
-def choose_consistent_word(dim: int, point_words, values, rng: np.random.Generator) -> int:
-    """Uniform consistent word, or uniform over all words if none is consistent.
-
-    Returns the word; it is the survivor at a uniform index into the
-    ascending ``consistent_words`` array, or a ``random_word`` when that is
-    empty.
-    """
-    survivors = consistent_words(dim, point_words, values)
-    if survivors.size == 0:
-        return random_word(dim, rng)
-    return int(survivors[int(rng.integers(survivors.size))])
-
-
 def embed_word(small, positions, base: int):
     """Write bit j of ``small`` into ``base`` at ``positions[j]``, for each j.
 
@@ -229,17 +217,4 @@ def block_projection(n: int, point_words, values, anchor_lo: int, anchor_hi: int
         packed |= ((stacked >> (p - low)) & ones) << j
     small = (1 << len(block)) - 1
     return block, outside, [(packed >> (i * slot)) & small for i in range(len(point_words))]
-
-
-def choose_consistent_sub_word(n: int, point_words, values, anchor_lo: int, anchor_hi: int,
-                               rng: np.random.Generator) -> int:
-    """Block-restricted consistent draw; the block is where the anchors differ.
-
-    The history is validated and projected by ``block_projection``; the
-    values are block-level agreement counts.  Returns the word, which always
-    carries the anchors' bits outside the block.
-    """
-    block, outside, projected = block_projection(n, point_words, values, anchor_lo, anchor_hi)
-    small = choose_consistent_word(len(block), projected, values, rng) if block else 0
-    return embed_word(small, block, outside)
 

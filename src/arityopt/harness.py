@@ -109,6 +109,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"budget must be positive, got {cfg.budget}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be positive, got {cfg.workers}")
+    if cfg.base_seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.base_seed}")
 
 
 def seed_trial(class_name: str, n: int, seed: int):

@@ -18,6 +18,10 @@ arity, an int, for a family that takes no params; for a parametric family it
 is a function from the params to the arity, which raises ``ValueError``
 naming the family on params it rejects.  ``OperatorId`` applies the rule
 once and stores the arity it gives.
+
+chooseConsistent draws a uniform index into the ascending ``consistent_words``
+survivors, or a uniform word if there are none; chooseConsistentSub makes
+that draw on its anchors' block, between ``block_projection`` and ``embed_word``.
 """
 
 from __future__ import annotations
@@ -27,15 +31,8 @@ from math import fsum
 
 import numpy as np
 
-from .bitcore import BitString, differing_positions, nth_set_bit
-from .consistency import (
-    ExactEnumerationUnavailable,
-    block_projection,
-    choose_consistent_sub_word,
-    choose_consistent_word,
-    consistent_words,
-    embed_word,
-)
+from .bitcore import BitString, differing_positions, nth_set_bit, random_word
+from .consistency import ExactEnumerationUnavailable, block_projection, consistent_words, embed_word
 
 __all__ = [
     "OperatorId",
@@ -144,11 +141,15 @@ def _k_flip_one_uniform(words, n, params, rng):
 
 
 def _k_choose_consistent(words, n, params, rng):
-    return choose_consistent_word(n, words, params, rng)
+    survivors = consistent_words(n, words, params)
+    if survivors.size == 0:
+        return random_word(n, rng)
+    return int(survivors[int(rng.integers(survivors.size))])
 
 
 def _k_choose_consistent_sub(words, n, params, rng):
-    return choose_consistent_sub_word(n, words[:-2], params, words[-2], words[-1], rng)
+    block, outside, projected = block_projection(n, words[:-2], params, words[-2], words[-1])
+    return embed_word(_k_choose_consistent(projected, len(block), params, rng), block, outside)
 
 
 def _flip_k_arity(params) -> int:
@@ -297,7 +298,7 @@ def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
             v[survivors] = 1.0 / survivors.size
     elif name == "chooseConsistentSub":
         block, outside, proj = block_projection(n, words[:-2], op.params, words[-2], words[-1])
-        survivors = consistent_words(len(block), proj, op.params) if block else np.array([0])
+        survivors = consistent_words(len(block), proj, op.params)
         if survivors.size == 0:
             survivors = np.arange(1 << len(block), dtype=np.uint32)
         v[embed_word(survivors, block, outside)] = 1.0 / survivors.size

@@ -18,8 +18,9 @@ from scipy import stats
 
 from arityopt.bitcore import BitString
 from arityopt.bounds import round_count
-from arityopt.consistency import ConsistencyQuery, choose_consistent_word, consistent_set
+from arityopt.consistency import ConsistencyQuery, consistent_set
 from arityopt.harness import ExperimentConfig, fit_curve, run_experiment, summarize
+from arityopt.operators import choose_consistent_id, sample_operator
 from arityopt.problems import Oracle, random_instance
 from arityopt.unbiasedness import (
     NEGATIVE_CONTROL_NAME,
@@ -268,9 +269,9 @@ def test_criterion_8_consistency_sampler():
     q = ConsistencyQuery(10, (BitString(10, 0),), (5,))
     support = sorted(x.word for x in consistent_set(q))
     counts = dict.fromkeys(support, 0)
-    point_words = [p.word for p in q.points]
+    op, point_words = choose_consistent_id(q.values), [p.word for p in q.points]
     for _ in range(100_000):
-        counts[choose_consistent_word(q.dim, point_words, q.values, rng)] += 1
+        counts[sample_operator(op, point_words, q.dim, rng)] += 1
     _, p_value = stats.chisquare(list(counts.values()))
 
     # soundness: the hidden string survives 10^3 oracle-generated query sets

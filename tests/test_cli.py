@@ -108,6 +108,19 @@ class TestRun:
         assert "configuration error" in proc.stderr
         assert proc.stdout == ""
 
+    def test_negative_seed_exits_1(self, tmp_path):
+        # rejected with the config, before any trial or output file
+        path = tmp_path / "runs.csv"
+        proc = run_cli(
+            "run", "--algorithm", "rls", "--class", "onemax",
+            "--n", "8", "--trials", "2", "--seed", "-5", "--out", str(path),
+        )
+        assert proc.returncode == 1
+        assert "configuration error: seed must be non-negative, got -5" in proc.stderr
+        assert "TrialFailed" not in proc.stderr
+        assert proc.stdout == ""
+        assert not path.exists()
+
     def test_unknown_flag_exits_1(self):
         proc = run_cli("run", "--algorithm", "rls", "--frobnicate")
         assert proc.returncode == 1
@@ -131,6 +144,12 @@ class TestVerifyUnbiased:
         assert proc.returncode == 1
         assert "configuration error" in proc.stderr
         assert f"{flag} must be positive, got {args[1]}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_negative_seed_exits_1(self):
+        proc = run_cli("verify-unbiased", "--n", "5", "--trials", "1", "--seed", "-1")
+        assert proc.returncode == 1
+        assert "configuration error: --seed must be non-negative, got -1" in proc.stderr
         assert proc.stdout == ""
 
     def test_n_above_enumeration_limit_exits_1(self):

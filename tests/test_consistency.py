@@ -12,13 +12,16 @@ from arityopt.consistency import (
     ConsistencyQuery,
     ExactEnumerationUnavailable,
     block_projection,
-    choose_consistent_sub_word,
-    choose_consistent_word,
     consistent_set,
     consistent_words,
     embed_word,
 )
-from arityopt.operators import choose_consistent_sub_id, sample_operator
+from arityopt.operators import (
+    choose_consistent_id,
+    choose_consistent_sub_id,
+    pmf_vector,
+    sample_operator,
+)
 from arityopt.problems import random_instance
 
 ALPHA = 1e-3
@@ -144,6 +147,54 @@ class TestConsistentWordsMemo:
                 assert not got.flags.writeable
 
 
+class TestConsistentWordsInputs:
+    """Every value in 0..dim and every point below 2**dim, or ValueError;
+    dims 8 and 20 sit on either side of the split into halves."""
+
+    BAD = "need points below 2\\*\\*{dim} and values in 0..{dim}"
+
+    @pytest.mark.parametrize("dim", [8, 20])
+    @pytest.mark.parametrize("case", ["value above dim", "negative value", "point of 2**32",
+                                      "point wider than dim", "negative point"])
+    def test_rejected_on_every_call(self, dim, case):
+        points, values = {
+            "value above dim": ([0], [dim + 1]),
+            "negative value": ([0], [-1]),
+            "point of 2**32": ([1 << 32], [1]),
+            "point wider than dim": ([1 << dim], [dim - 1]),
+            "negative point": ([-1], [1]),
+        }[case]
+        rng = np.random.default_rng(dim)
+        state = rng.bit_generator.state
+        for _ in range(2):
+            with pytest.raises(ValueError, match=self.BAD.format(dim=dim)):
+                consistent_words(dim, points, values)
+            with pytest.raises(ValueError, match=self.BAD.format(dim=dim)):
+                sample_operator(choose_consistent_id(values), points, dim, rng)
+            consistent_words(dim, [0], [dim])
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_pmf_vector_rejects_a_value_above_dim(self, dim):
+        # 16 is the exact pmf limit, above the split; wide points fail
+        # pmf_vector's own word check first
+        for values in ([dim + 1], [-1]):
+            with pytest.raises(ValueError, match=self.BAD.format(dim=dim)):
+                pmf_vector(choose_consistent_id(values), [0], dim)
+
+    def test_bounds_are_accepted(self):
+        np.testing.assert_array_equal(consistent_words(8, [255, 0], [8, 0]), [255])
+        np.testing.assert_array_equal(consistent_words(20, [(1 << 20) - 1], [0]), [0])
+
+    def test_dimension_zero(self):
+        # the empty block of a chooseConsistentSub draw
+        assert consistent_words(0, [0], [0]).tolist() == [0]
+        assert consistent_words(0, (0,), (0,)).tolist() == [0]
+        assert consistent_words(0, [], []).tolist() == [0]
+        with pytest.raises(ValueError, match=self.BAD.format(dim=0)):
+            consistent_words(0, [1], [0])
+
+
 class TestChooseConsistent:
     def test_output_is_always_consistent(self):
         rng = np.random.default_rng(5)
@@ -153,7 +204,7 @@ class TestChooseConsistent:
             pts = [BitString(dim, int(w)) for w in rng.integers(1 << dim, size=2)]
             vals = tuple(dim - (z ^ p.word).bit_count() for p in pts)
             q = ConsistencyQuery(dim, tuple(pts), vals)
-            w = choose_consistent_word(dim, [p.word for p in pts], vals, rng)
+            w = sample_operator(choose_consistent_id(vals), [p.word for p in pts], dim, rng)
             assert BitString(dim, w) in consistent_set(q)
 
     def test_uniform_over_consistent_set(self):
@@ -161,17 +212,17 @@ class TestChooseConsistent:
         q = ConsistencyQuery(5, (bs("00000"),), (2,))
         support = sorted(x.word for x in consistent_set(q))
         counts = dict.fromkeys(support, 0)
-        point_words = [p.word for p in q.points]
+        op, point_words = choose_consistent_id(q.values), [p.word for p in q.points]
         for _ in range(20_000):
-            counts[choose_consistent_word(q.dim, point_words, q.values, rng)] += 1
+            counts[sample_operator(op, point_words, q.dim, rng)] += 1
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > ALPHA
 
     def test_empty_set_falls_back_to_uniform(self):
         rng = np.random.default_rng(7)
         q = ConsistencyQuery(2, (bs("00"), bs("00")), (0, 2))
-        point_words = [p.word for p in q.points]
-        seen = {choose_consistent_word(q.dim, point_words, q.values, rng) for _ in range(400)}
+        op, point_words = choose_consistent_id(q.values), [p.word for p in q.points]
+        seen = {sample_operator(op, point_words, q.dim, rng) for _ in range(400)}
         assert seen == {0, 1, 2, 3}
 
     def test_soundness_on_oracle_generated_queries(self):
@@ -211,7 +262,7 @@ class TestChooseConsistentSub:
             mask = sum(1 << p for p in block)
             a_lo = outside & ~mask
             a_hi = a_lo | mask
-            w = choose_consistent_sub_word(n, [], [], a_lo, a_hi, rng)
+            w = sample_operator(choose_consistent_sub_id([]), [a_lo, a_hi], n, rng)
             assert block_projection(n, [], [], a_lo, a_hi)[0] == tuple(block)
             assert w & ~mask == a_lo & ~mask
 
@@ -225,7 +276,7 @@ class TestChooseConsistentSub:
         # one history point with full block agreement pins the block bits
         hidden_block = 0b1010
         point = a_lo | embed_word(hidden_block, block, 0)
-        w = choose_consistent_sub_word(n, [point], [4], a_lo, a_hi, rng)
+        w = sample_operator(choose_consistent_sub_id([4]), [point, a_lo, a_hi], n, rng)
         assert project_word(w, block) == hidden_block
 
     def test_rejects_history_disagreeing_outside(self):
@@ -234,7 +285,7 @@ class TestChooseConsistentSub:
         a_lo, a_hi = 0b000000, 0b000011
         bad = 0b100000
         with pytest.raises(ValueError):
-            choose_consistent_sub_word(n, [bad], [1], a_lo, a_hi, rng)
+            sample_operator(choose_consistent_sub_id([1]), [bad, a_lo, a_hi], n, rng)
 
     def test_wrapper_draws_in_block(self):
         # the operator's kernel, reached through sample_operator

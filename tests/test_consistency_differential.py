@@ -3,14 +3,20 @@
 ``consistent_words`` joins a high and a low half of each word on the
 distances the low half must supply.  It must return exactly what the earlier
 full scan over all 2**dim words returned: the same uint32 words in the same
-ascending order, so that ``choose_consistent_word``'s uniform index picks the
-same word and seeded runs keep their query counts and output bytes.  The
+ascending order, so that the chooseConsistent kernel's uniform index picks
+the same word and seeded runs keep their query counts and output bytes.  The
 earlier scan is kept here verbatim as the oracle.
 
 ``block_projection`` projects a ``chooseConsistentSub`` history onto the
 anchors' block with one numpy unpack and pack of all the points together.
 It must return the words and raise the errors, in the same order, of the
 earlier per-point loop, also kept here verbatim.
+
+The chooseConsistent and chooseConsistentSub kernels in ``operators`` draw
+what ``choose_consistent_word`` and ``choose_consistent_sub_word``, the
+samplers ``consistency`` used to define, drew.  Those two are kept here
+verbatim as the oracle: ``sample_operator`` must return the same word, raise
+the same error and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -20,15 +26,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arityopt import consistency
-from arityopt.bitcore import differing_positions
+from arityopt import operators
+from arityopt.bitcore import differing_positions, random_word
 from arityopt.consistency import (
     ENUMERATION_DIM_LIMIT,
     _require_enumerable,
     block_projection,
-    choose_consistent_word,
     consistent_words,
+    embed_word,
 )
+from arityopt.operators import choose_consistent_id, choose_consistent_sub_id, sample_operator
 
 
 def project_word(word: int, positions) -> int:
@@ -64,6 +71,32 @@ def loop_block_projection(n: int, point_words, values, anchor_lo: int, anchor_hi
         if not 0 <= u <= len(block):
             raise ValueError(f"block value {u} outside 0..{len(block)}")
     return block, outside, projected
+
+
+def choose_consistent_word(dim: int, point_words, values, rng: np.random.Generator) -> int:
+    """Uniform consistent word, or uniform over all words if none is consistent.
+
+    Returns the word; it is the survivor at a uniform index into the
+    ascending ``consistent_words`` array, or a ``random_word`` when that is
+    empty.
+    """
+    survivors = consistent_words(dim, point_words, values)
+    if survivors.size == 0:
+        return random_word(dim, rng)
+    return int(survivors[int(rng.integers(survivors.size))])
+
+
+def choose_consistent_sub_word(n: int, point_words, values, anchor_lo: int, anchor_hi: int,
+                               rng: np.random.Generator) -> int:
+    """Block-restricted consistent draw; the block is where the anchors differ.
+
+    The history is validated and projected by ``block_projection``; the
+    values are block-level agreement counts.  Returns the word, which always
+    carries the anchors' bits outside the block.
+    """
+    block, outside, projected = block_projection(n, point_words, values, anchor_lo, anchor_hi)
+    small = choose_consistent_word(len(block), projected, values, rng) if block else 0
+    return embed_word(small, block, outside)
 
 
 def assert_same_words(dim, point_words, values):
@@ -159,11 +192,11 @@ def test_rejects_mismatched_lengths():
 def test_choose_consistent_word_matches_filter_backed_draw(query, seed):
     dim, points, values = query
     rng = np.random.default_rng(seed)
-    got = choose_consistent_word(dim, points, values, rng)
+    got = sample_operator(choose_consistent_id(values), points, dim, rng)
     ref_rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(consistency, "consistent_words", filter_consistent_words)
-        want = choose_consistent_word(dim, points, values, ref_rng)
+        mp.setattr(operators, "consistent_words", filter_consistent_words)
+        want = sample_operator(choose_consistent_id(values), points, dim, ref_rng)
     assert got == want
     assert rng.integers(2**63) == ref_rng.integers(2**63)
 
@@ -173,7 +206,7 @@ def test_choose_consistent_word_without_constraints(dim):
     # every word is consistent, so the draw is an index into all 2**dim words
     rng = np.random.default_rng(dim)
     ref_rng = np.random.default_rng(dim)
-    assert choose_consistent_word(dim, [], [], rng) == int(ref_rng.integers(1 << dim))
+    assert sample_operator(choose_consistent_id([]), [], dim, rng) == int(ref_rng.integers(1 << dim))
     assert rng.integers(2**63) == ref_rng.integers(2**63)
 
 
@@ -227,3 +260,75 @@ def test_block_projection_edges(block):
     args = (n, points, values, anchor_lo, anchor_lo | mask)
     assert block_projection(*args) == loop_block_projection(*args)
     assert block_projection(*args[:1], [], [], *args[3:]) == (block, anchor_lo, [])
+
+
+def assert_same_draw(op, words, n, seed, reference, *ref_args):
+    """sample_operator and the reference give the same word or error and
+    leave their generators in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = outcome(sample_operator, op, words, n, rng)
+    assert got == outcome(reference, *ref_args, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("dim", [11, 12, 13, 20, 24])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_choose_consistent_kernel_matches_reference(dim, data):
+    _, points, values = data.draw(queries(st.just(dim), t_max=12))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    got = assert_same_draw(choose_consistent_id(values), points, dim, seed,
+                           choose_consistent_word, dim, points, values)
+    assert 0 <= got < 1 << dim
+
+
+@pytest.mark.parametrize("dim", [3, 11, 12, 13, 20, 24])
+def test_choose_consistent_kernel_on_an_empty_set(dim):
+    # contradictory values: the draw falls back to a uniform word
+    point = (1 << dim) - 1 - 5
+    assert consistent_words(dim, [point, point], [1, 2]).size == 0
+    for seed in range(5):
+        assert_same_draw(choose_consistent_id([1, 2]), [point, point], dim, seed,
+                         choose_consistent_word, dim, [point, point], [1, 2])
+
+
+def sub_draw(history, seed):
+    n, points, values, anchor_lo, anchor_hi = history
+    words = points + [anchor_lo, anchor_hi]
+    return assert_same_draw(choose_consistent_sub_id(values), words, n, seed,
+                            choose_consistent_sub_word, n, points, values, anchor_lo, anchor_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sub_histories(), st.integers(0, 2**64 - 1))
+def test_choose_consistent_sub_kernel_matches_reference(history, seed):
+    sub_draw(history, seed)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 65, 200])
+def test_choose_consistent_sub_kernel_on_an_empty_block(n):
+    # equal anchors: the block is empty, every value is 0 and the output is
+    # the anchor, drawn from the one-word set without moving the generator
+    anchor = 0x5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A & ((1 << n) - 1)
+    for t in (0, 1, 3):
+        history = (n, [anchor] * t, [0] * t, anchor, anchor)
+        assert sub_draw(history, t) == anchor
+    assert sub_draw((n, [anchor], [1], anchor, anchor), 0)[0] is ValueError
+
+
+@pytest.mark.parametrize("block", [(0, 63, 64, 65), (60, 70, 80, 90, 99), tuple(range(50, 74))])
+def test_choose_consistent_sub_kernel_past_64_bits(block):
+    n = 100
+    mask = sum(1 << p for p in block)
+    anchor_lo = (0x0123456789ABCDEF0123456789ABCDEF & ((1 << n) - 1)) & ~mask
+    rng = np.random.default_rng(len(block))
+    hidden = int(rng.integers(1 << len(block)))
+    points = [anchor_lo | embed_word(int(rng.integers(1 << len(block))), block, 0) for _ in range(6)]
+    z = embed_word(hidden, block, anchor_lo)
+    values = [len(block) - ((z ^ p) & mask).bit_count() for p in points]
+    for seed in range(4):
+        word = sub_draw((n, points, values, anchor_lo, anchor_lo | mask), seed)
+        assert word & ~mask == anchor_lo
+        # agreement 0 and len(block) with one point: the set is empty
+        sub_draw((n, points[:1] * 2, [0, len(block)], anchor_lo, anchor_lo | mask), seed)

@@ -115,6 +115,13 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(cfg(workers=0))
 
+    def test_seed_is_non_negative(self):
+        validate_config(cfg(base_seed=0))
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            validate_config(cfg(base_seed=-1))
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            run_experiment(cfg(base_seed=-5))
+
 
 class TestRunExperiment:
     def test_row_count_and_seeds(self):
