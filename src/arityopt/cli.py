@@ -14,7 +14,6 @@ failure).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -34,8 +33,8 @@ from .harness import (
     seed_trial,
     summarize,
     summary_csv_text,
-    write_report_json,
-    write_summary_csv,
+    write_json,
+    write_summaries,
 )
 from .problems import INSTANCE_CLASSES
 from .unbiasedness import (
@@ -117,16 +116,20 @@ def _instances_payload(records) -> list[dict]:
     out = []
     for i, r in enumerate(records):
         inst, _ = seed_trial(r.class_name, r.n, r.seed)
-        entry: dict = {"run_id": i, "class": r.class_name, "n": r.n, "seed": r.seed}
-        if r.class_name == "onemax":
-            entry["z"] = inst.z.to_string()
-        elif r.class_name == "leadingones":
-            entry["z"] = inst.z.to_string()
+        entry = {"run_id": i, "class": r.class_name, "n": r.n, "seed": r.seed,
+                 "z": inst.z.to_string()}
+        if r.class_name == "leadingones":
             entry["sigma"] = [m + 1 for m in inst.sigma.mapping]
-        else:
+        elif r.class_name == "monotone":
             entry["weights"] = list(inst.weights)
         out.append(entry)
     return out
+
+
+def _print_written(paths: dict) -> int:
+    for path in paths.values():
+        print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _cmd_run(args) -> int:
@@ -144,20 +147,15 @@ def _cmd_run(args) -> int:
     )
     records = run_experiment(cfg)
     summaries = summarize(records)
-    if args.out:
-        paths = emit_report(records, summaries, args.out)
-        if args.debug_instances:
-            inst_path = output_stem(args.out) + ".instances.json"
-            with open(inst_path, "w") as fh:
-                json.dump(_instances_payload(records), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            paths["instances"] = inst_path
-        for name in ("runs", "summary", "report", "instances"):
-            if name in paths:
-                print(f"wrote {paths[name]}")
-    else:
+    if not args.out:
         print(summary_csv_text(summaries), end="")
-    return EXIT_OK
+        return EXIT_OK
+    paths = emit_report(records, summaries, args.out)
+    if args.debug_instances:
+        paths["instances"] = write_json(
+            _instances_payload(records), output_stem(args.out) + ".instances.json"
+        )
+    return _print_written(paths)
 
 
 def _cmd_verify_unbiased(args) -> int:
@@ -231,14 +229,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = read_runs_csv(args.input)
-    summaries = summarize(records)
-    write_summary_csv(summaries, args.out)
-    print(f"wrote {args.out}")
-    json_path = output_stem(args.out) + ".report.json"
-    write_report_json(summaries, json_path)
-    print(f"wrote {json_path}")
-    return EXIT_OK
+    summaries = summarize(read_runs_csv(args.input))
+    return _print_written(
+        write_summaries(summaries, args.out, output_stem(args.out) + ".report.json")
+    )
 
 
 _COMMANDS = {

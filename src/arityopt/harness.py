@@ -9,6 +9,13 @@ execution changes wall time, never output bytes.
 Runs whose budget was hit are counted as failures in success_rate and
 excluded from the query statistics, so one pathological run cannot skew a
 fit silently.
+
+Each output file is declared by one dataclass, whose fields are its columns
+or keys in order (the CSV headers write ``class_name`` as ``class``):
+``RunRecord`` the runs CSV, after a leading ``run_id``; ``SummaryRow`` the
+summary CSV and the report JSON's summaries; the hidden instance classes
+the instances JSON that ``cli`` writes.  Every CSV goes through
+``_csv_text`` and every JSON file through ``write_json``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -46,21 +53,15 @@ __all__ = [
     "fit_curve",
     "emit_report",
     "write_runs_csv",
-    "write_summary_csv",
     "summary_csv_text",
-    "write_report_json",
+    "write_summaries",
+    "write_json",
     "read_runs_csv",
     "output_stem",
     "RUNS_HEADER",
     "SUMMARY_HEADER",
     "FIT_MODELS",
 ]
-
-RUNS_HEADER = "run_id,algorithm,class,n,k,seed,queries,success,hit_budget"
-SUMMARY_HEADER = (
-    "algorithm,class,n,k,trials,mean_queries,std_queries,median_queries,"
-    "min_queries,max_queries,success_rate,theory_value,ratio"
-)
 
 FIT_MODELS = ("a_n", "a_nlogn", "a_n_over_logk")
 
@@ -191,11 +192,13 @@ class SummaryRow:
     ratio: float | None
 
 
-def _theory_for(algorithm: str, n: int, k: int) -> float | None:
-    model = ALGORITHMS[algorithm].theory_model
-    if model is None:
-        return None
-    return theory_curve(model, n, k if model == "n_over_logk" else None)
+def _header(cls, *first: str) -> str:
+    names = ("class" if f.name == "class_name" else f.name for f in fields(cls))
+    return ",".join([*first, *names])
+
+
+RUNS_HEADER = _header(RunRecord, "run_id")
+SUMMARY_HEADER = _header(SummaryRow)
 
 
 def summarize(records: list[RunRecord]) -> list[SummaryRow]:
@@ -210,27 +213,18 @@ def summarize(records: list[RunRecord]) -> list[SummaryRow]:
     rows = []
     for (algo, cls, n, k), rs in groups.items():
         done = np.array([r.queries for r in rs if not r.hit_budget], dtype=float)
-        success = sum(1 for r in rs if r.success) / len(rs)
-        theory = _theory_for(algo, n, k)
+        stats = (None,) * 5
         if done.size:
-            mean = float(done.mean())
-            row = SummaryRow(
-                algo, cls, n, k, len(rs),
-                mean,
-                float(done.std(ddof=1)) if done.size > 1 else 0.0,
-                float(np.median(done)),
-                int(done.min()),
-                int(done.max()),
-                success,
-                theory,
-                (mean / theory) if theory else None,
-            )
-        else:
-            row = SummaryRow(
-                algo, cls, n, k, len(rs),
-                None, None, None, None, None, success, theory, None,
-            )
-        rows.append(row)
+            stats = (float(done.mean()), float(done.std(ddof=1)) if done.size > 1 else 0.0,
+                     float(np.median(done)), int(done.min()), int(done.max()))
+        model = ALGORITHMS[algo].theory_model
+        theory = model and theory_curve(model, n, k if model == "n_over_logk" else None)
+        rows.append(SummaryRow(
+            algo, cls, n, k, len(rs), *stats,
+            sum(1 for r in rs if r.success) / len(rs),
+            theory,
+            stats[0] / theory if done.size and theory else None,
+        ))
     return rows
 
 
@@ -274,50 +268,53 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
     return format(float(v), ".9g")
 
 
-def write_runs_csv(records: list[RunRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RUNS_HEADER.split(","))
-        for i, r in enumerate(records):
-            w.writerow(
-                [i, r.algorithm, r.class_name, r.n, r.k, r.seed, r.queries,
-                 _fmt(r.success), _fmt(r.hit_budget)]
-            )
-
-
-def _write_summary(fh, rows: list[SummaryRow]) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(SUMMARY_HEADER.split(","))
-    for r in rows:
-        w.writerow(
-            [r.algorithm, r.class_name, r.n, r.k, r.trials,
-             _fmt(r.mean_queries), _fmt(r.std_queries), _fmt(r.median_queries),
-             _fmt(r.min_queries), _fmt(r.max_queries), _fmt(r.success_rate),
-             _fmt(r.theory_value), _fmt(r.ratio)]
-        )
-
-
-def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_summary(fh, rows)
-
-
-def summary_csv_text(rows: list[SummaryRow]) -> str:
+def _csv_text(header: str, rows) -> str:
     buf = io.StringIO()
-    _write_summary(buf, rows)
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header.split(","))
+    w.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
+def _write(path: str, text: str) -> str:
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def write_json(data, path: str) -> str:
+    """``data`` as JSON with sorted keys and a fixed layout: identical
+    inputs, identical bytes.  Returns ``path``."""
+    return _write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def write_runs_csv(records: list[RunRecord], path: str) -> None:
+    _write(path, _csv_text(RUNS_HEADER, ((i, *astuple(r)) for i, r in enumerate(records))))
+
+
+def summary_csv_text(rows: list[SummaryRow]) -> str:
+    return _csv_text(SUMMARY_HEADER, map(astuple, rows))
+
+
+def write_summaries(summaries, csv_path: str, json_path: str) -> dict:
+    """Write the summary CSV and the JSON report; returns their paths.
+    ``fits`` is kept in the report's layout and always empty."""
+    report = {"fits": {}, "summaries": [asdict(r) for r in summaries]}
+    return {"summary": _write(csv_path, summary_csv_text(summaries)),
+            "report": write_json(report, json_path)}
+
+
 def read_runs_csv(path: str) -> list[RunRecord]:
-    """Records of a runs CSV.  A wrong header, an algorithm or class that no
-    run can have, a non-integer n, k, seed or queries, or a success or
-    hit_budget other than ``true`` or ``false`` is a ConfigError that names
-    the file and the line."""
+    """Records of a runs CSV.  A wrong header, a row longer than it, an
+    algorithm or class that no run can have, a non-integer n, k, seed or
+    queries, an n below 1 or a negative k, seed or queries, or a success or
+    hit_budget other than ``true`` or ``false``, or both ``true``, is a
+    ConfigError that names the file and the line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -325,6 +322,8 @@ def read_runs_csv(path: str) -> list[RunRecord]:
             raise ConfigError(f"unexpected runs CSV header in {path}")
         for row in reader:
             where = f"{path}, line {reader.line_num}"
+            if None in row:
+                raise ConfigError(f"{where}: more fields than the header's")
             if row["algorithm"] not in ALGORITHMS:
                 raise ConfigError(f"{where}: unknown algorithm {row['algorithm']!r}")
             if row["class"] not in INSTANCE_CLASSES:
@@ -333,14 +332,18 @@ def read_runs_csv(path: str) -> list[RunRecord]:
                 n, k, seed, queries = (int(row[c]) for c in ("n", "k", "seed", "queries"))
             except (TypeError, ValueError):
                 raise ConfigError(f"{where}: n, k, seed and queries must be integers") from None
-            flags = (row["success"], row["hit_budget"])
-            if not {"true", "false"}.issuperset(flags):
-                raise ConfigError(f"{where}: success and hit_budget must be true or false")
-            records.append(
-                RunRecord(
-                    row["algorithm"], row["class"], n, k, seed, queries,
-                    flags[0] == "true", flags[1] == "true",
+            if n < 1 or min(k, seed, queries) < 0:
+                raise ConfigError(
+                    f"{where}: n must be positive, and k, seed and queries non-negative"
                 )
+            flags = (row["success"], row["hit_budget"])
+            if not {"true", "false"}.issuperset(flags) or flags == ("true", "true"):
+                raise ConfigError(
+                    f"{where}: success and hit_budget must be true or false, not both true"
+                )
+            success, hit_budget = (f == "true" for f in flags)
+            records.append(
+                RunRecord(row["algorithm"], row["class"], n, k, seed, queries, success, hit_budget)
             )
     return records
 
@@ -350,29 +353,9 @@ def output_stem(path: str) -> str:
     return path[:-4] if path.endswith(".csv") else path
 
 
-def _report_paths(path: str) -> tuple[str, str, str]:
-    base = output_stem(path)
-    return path, base + ".summary.csv", base + ".report.json"
-
-
-def write_report_json(summaries, path: str) -> None:
-    """JSON report with sorted keys and fixed layout: identical inputs,
-    identical bytes.  ``fits`` is kept in the layout and always empty."""
-    report = {
-        "fits": {},
-        "summaries": [
-            {f.name: getattr(r, f.name) for f in fields(SummaryRow)} for r in summaries
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def emit_report(records, summaries, path: str) -> dict:
     """Write runs CSV, summary CSV, and a JSON report; returns their paths."""
-    runs_path, summary_path, json_path = _report_paths(path)
-    write_runs_csv(records, runs_path)
-    write_summary_csv(summaries, summary_path)
-    write_report_json(summaries, json_path)
-    return {"runs": runs_path, "summary": summary_path, "report": json_path}
+    write_runs_csv(records, path)
+    stem = output_stem(path)
+    summary = write_summaries(summaries, stem + ".summary.csv", stem + ".report.json")
+    return {"runs": path, **summary}

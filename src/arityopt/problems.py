@@ -46,41 +46,42 @@ class BudgetExhausted(RuntimeError):
         self.queries = queries
 
 
-def _cache_word_and_n(instance) -> None:
-    # Plain attributes for evaluate_word, which runs once per query: the
-    # hidden word and n without a property call or a second attribute hop.
-    object.__setattr__(instance, "_n", instance.z.n)
-    object.__setattr__(instance, "_zword", instance.z.word)
-
-
 @dataclass(frozen=True)
-class OneMaxInstance:
-    """f(x) = number of positions where x agrees with the hidden z."""
+class _HiddenInstance:
+    """The hidden string z that every class is defined by, and its length n.
+    Each class defines its own ``evaluate_word``; this base has none."""
 
     z: BitString
 
-    kind = "onemax"
-
     def __post_init__(self) -> None:
-        _cache_word_and_n(self)
+        # Plain attributes for evaluate_word, which runs once per query: the
+        # hidden word and n without a property call or a second attribute hop.
+        object.__setattr__(self, "_n", self.z.n)
+        object.__setattr__(self, "_zword", self.z.word)
 
     @property
     def n(self) -> int:
         return self._n
+
+
+@dataclass(frozen=True)
+class OneMaxInstance(_HiddenInstance):
+    """f(x) = number of positions where x agrees with the hidden z."""
+
+    kind = "onemax"
 
     def evaluate_word(self, word: int) -> int:
         return self._n - (word ^ self._zword).bit_count()
 
 
 @dataclass(frozen=True)
-class LeadingOnesInstance:
+class LeadingOnesInstance(_HiddenInstance):
     """f(x) = length of the longest prefix, in sigma order, agreeing with z.
 
     Position ``sigma.mapping[j]`` fills prefix slot j; the value is the index
     of the first slot whose position disagrees with z (n if none does).
     """
 
-    z: BitString
     sigma: Permutation
 
     kind = "leadingones"
@@ -88,11 +89,7 @@ class LeadingOnesInstance:
     def __post_init__(self) -> None:
         if self.sigma.size != self.z.n:
             raise ValueError(f"size mismatch: sigma {self.sigma.size} vs z {self.z.n}")
-        _cache_word_and_n(self)
-
-    @property
-    def n(self) -> int:
-        return self._n
+        super().__post_init__()
 
     @cached_property
     def _prefix_masks(self) -> tuple[int, ...]:
@@ -121,26 +118,19 @@ class LeadingOnesInstance:
 
 
 @dataclass(frozen=True)
-class MonotoneInstance:
+class MonotoneInstance(_HiddenInstance):
     """f(x) = sum of hidden positive weights over positions agreeing with z."""
 
-    z: BitString
     weights: tuple[float, ...]
 
     kind = "monotone"
 
     def __post_init__(self) -> None:
         if len(self.weights) != self.z.n:
-            raise ValueError(
-                f"size mismatch: {len(self.weights)} weights vs z {self.z.n}"
-            )
+            raise ValueError(f"size mismatch: {len(self.weights)} weights vs z {self.z.n}")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
-        _cache_word_and_n(self)
-
-    @property
-    def n(self) -> int:
-        return self._n
+        super().__post_init__()
 
     @cached_property
     def _w(self) -> np.ndarray:

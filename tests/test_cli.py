@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from arityopt.bitcore import BitString
 from arityopt.consistency import ENUMERATION_DIM_LIMIT
-from arityopt.harness import RUNS_HEADER, SUMMARY_HEADER
+from arityopt.harness import RUNS_HEADER, SUMMARY_HEADER, seed_trial
+from arityopt.problems import MonotoneInstance
 
 
 def run_cli(*args, timeout=120):
@@ -45,6 +47,14 @@ class TestRun:
         assert len(lines) == 2
         assert lines[1].startswith("rls,onemax,12,1,4,")
 
+    def test_stdout_is_the_summary_file(self, tmp_path):
+        config = ("run", "--algorithm", "binary_onemax", "--class", "monotone",
+                  "--n", "8", "--n", "12", "--trials", "3", "--seed", "5")
+        printed = run_cli(*config)
+        written = run_cli(*config, "--out", str(tmp_path / "runs.csv"))
+        assert printed.returncode == written.returncode == 0, printed.stderr + written.stderr
+        assert printed.stdout.encode() == (tmp_path / "runs.summary.csv").read_bytes()
+
     def test_out_files(self, runs_csv):
         with open(runs_csv) as fh:
             lines = fh.read().splitlines()
@@ -70,6 +80,18 @@ class TestRun:
         assert payload[0]["seed"] == 3
         assert len(payload[0]["z"]) == 8
         assert sorted(payload[0]["sigma"]) == list(range(1, 9))
+
+        proc = run_cli(
+            "run", "--algorithm", "binary_onemax", "--class", "monotone",
+            "--n", "8", "--n", "70", "--trials", "2", "--seed", "3", "--out", path,
+            "--debug-instances",
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.load(open(path[:-4] + ".instances.json"))
+        assert [(e["n"], e["seed"]) for e in payload] == [(8, 3), (8, 4), (70, 5), (70, 6)]
+        for entry in payload:
+            rebuilt = MonotoneInstance(BitString.from_string(entry["z"]), tuple(entry["weights"]))
+            assert rebuilt == seed_trial("monotone", entry["n"], entry["seed"])[0]
 
     def test_debug_instances_requires_out(self):
         proc = run_cli(
@@ -240,12 +262,22 @@ class TestReport:
         original = open(runs_csv[:-4] + ".summary.csv").read()
         assert open(out).read() == original
         assert json.load(open(out[:-4] + ".report.json"))["summaries"]
+        with open(out[:-4] + ".report.json", "rb") as again, \
+                open(runs_csv[:-4] + ".report.json", "rb") as first:
+            assert again.read() == first.read()
+        assert proc.stdout == f"wrote {out}\nwrote {out[:-4]}.report.json\n"
 
     @pytest.mark.parametrize("bad", [
         "0,foo,onemax,16,2,7,40,true,false",
         "0,binary_onemax,plateau,16,2,7,40,true,false",
         "0,binary_onemax,onemax,16,2,seven,40,true,false",
         "0,binary_onemax,onemax,16,2,7,40,True,False",
+        "0,binary_onemax,onemax,16,2,7,40,true,false,surplus",
+        "0,binary_onemax,onemax,-5,2,7,40,true,false",
+        "0,binary_onemax,onemax,16,-2,7,40,true,false",
+        "0,binary_onemax,onemax,16,2,-7,40,true,false",
+        "0,binary_onemax,onemax,16,2,7,-9,true,true",
+        "0,binary_onemax,onemax,16,2,7,9,true,true",
     ])
     def test_bad_row_exits_1(self, tmp_path, bad):
         path = str(tmp_path / "bad.csv")

@@ -372,6 +372,19 @@ class TestFileRoundTrips:
         text = summary_csv_text(summarize(synthetic_records([(8, [10])])))
         assert text.splitlines()[0] == SUMMARY_HEADER
 
+    def test_headers_are_the_readme_schemas(self):
+        # Derived from the dataclass fields, so pinned here as literals: a
+        # reordered or renamed field changes the files and fails this test.
+        runs = "run_id,algorithm,class,n,k,seed,queries,success,hit_budget"
+        summary = (
+            "algorithm,class,n,k,trials,mean_queries,std_queries,median_queries,"
+            "min_queries,max_queries,success_rate,theory_value,ratio"
+        )
+        assert (RUNS_HEADER, SUMMARY_HEADER) == (runs, summary)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        assert runs in readme
+        assert summary in readme
+
     def test_empty_records_still_write_headers(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         paths = emit_report([], [], path)
@@ -415,6 +428,14 @@ class TestFileRoundTrips:
         ("0,rls,onemax,8", "must be integers"),
         ("0,rls,onemax,8,1,0,9,True,False", "must be true or false"),
         ("0,rls,onemax,8,1,0,9,true,no", "must be true or false"),
+        ("0,rls,onemax,8,1,0,9,true,false,extra", "more fields than the header's"),
+        ("0,rls,onemax,8,1,0,9,true,false,", "more fields than the header's"),
+        ("0,rls,onemax,-5,1,0,9,true,false", "n must be positive"),
+        ("0,rls,onemax,0,1,0,9,true,false", "n must be positive"),
+        ("0,rls,onemax,8,-1,0,9,true,false", "k, seed and queries non-negative"),
+        ("0,rls,onemax,8,1,-1,9,true,false", "k, seed and queries non-negative"),
+        ("0,rls,onemax,8,1,0,-9,true,false", "k, seed and queries non-negative"),
+        ("0,rls,onemax,8,1,0,9,true,true", "not both true"),
     ])
     def test_read_rejects_bad_rows_naming_file_and_line(self, tmp_path, row, complaint):
         path = str(tmp_path / "bad.csv")
