@@ -311,10 +311,11 @@ def write_summaries(summaries, csv_path: str, json_path: str) -> dict:
 
 def read_runs_csv(path: str) -> list[RunRecord]:
     """Records of a runs CSV.  A wrong header, a row longer than it, an
-    algorithm or class that no run can have, a non-integer n, k, seed or
-    queries, an n below 1 or a negative k, seed or queries, or a success or
-    hit_budget other than ``true`` or ``false``, or both ``true``, is a
-    ConfigError that names the file and the line."""
+    algorithm or class that no run can have, a non-integer run_id, n, k, seed
+    or queries, an n below 1 or a negative run_id, k, seed or queries, a row
+    its algorithm's ``check`` rejects, or a success or hit_budget other than
+    ``true`` or ``false``, or both ``true``, is a ConfigError naming the file
+    and the line."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -329,22 +330,25 @@ def read_runs_csv(path: str) -> list[RunRecord]:
             if row["class"] not in INSTANCE_CLASSES:
                 raise ConfigError(f"{where}: unknown class {row['class']!r}")
             try:
-                n, k, seed, queries = (int(row[c]) for c in ("n", "k", "seed", "queries"))
+                run_id, n, k, seed, queries = (int(row[c]) for c in ("run_id", "n", "k", "seed", "queries"))
             except (TypeError, ValueError):
-                raise ConfigError(f"{where}: n, k, seed and queries must be integers") from None
-            if n < 1 or min(k, seed, queries) < 0:
+                raise ConfigError(f"{where}: run_id, n, k, seed and queries must be integers") from None
+            if n < 1 or min(run_id, k, seed, queries) < 0:
                 raise ConfigError(
-                    f"{where}: n must be positive, and k, seed and queries non-negative"
+                    f"{where}: n must be positive, and run_id, k, seed and queries non-negative"
                 )
+            spec = ALGORITHMS[row["algorithm"]]
+            try:  # a fixed-k algorithm's own k is checked as no k at all
+                spec.check(row["class"], n, None if k == spec.k else k)
+            except ValueError as e:
+                raise ConfigError(f"{where}: {e}") from None
             flags = (row["success"], row["hit_budget"])
             if not {"true", "false"}.issuperset(flags) or flags == ("true", "true"):
                 raise ConfigError(
                     f"{where}: success and hit_budget must be true or false, not both true"
                 )
             success, hit_budget = (f == "true" for f in flags)
-            records.append(
-                RunRecord(row["algorithm"], row["class"], n, k, seed, queries, success, hit_budget)
-            )
+            records.append(RunRecord(spec.name, row["class"], n, k, seed, queries, success, hit_budget))
     return records
 
 

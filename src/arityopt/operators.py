@@ -22,6 +22,10 @@ once and stores the arity it gives.
 chooseConsistent draws a uniform index into the ascending ``consistent_words``
 survivors, or a uniform word if there are none; chooseConsistentSub makes
 that draw on its anchors' block, between ``block_projection`` and ``embed_word``.
+
+Bounded draws go through ``_below``, which replays numpy's ``rng.integers(m)``
+(Lemire's multiply-shift rejection) on the bit generator's C interface; a
+differential test pins it to numpy, and CI runs that test on numpy 2.0 too.
 """
 
 from __future__ import annotations
@@ -76,6 +80,23 @@ class OutputDistribution:
         _check_probabilities(list(self.support.values()))
 
 
+def _below(m: int, rng: np.random.Generator) -> int:
+    """``int(rng.integers(m))`` for 1 <= m < 2**32, leaving the same state:
+    numpy's method on ``next_uint32``, without numpy's dispatch or its lock."""
+    if not 0 < m < 1 << 32:
+        raise ValueError(f"bounded draws need 1 <= m < 2**32, got {m}")
+    if m == 1:
+        return 0
+    bits = rng.bit_generator.ctypes
+    draw, state = bits.next_uint32, bits.state
+    product = draw(state) * m
+    if product & 0xFFFFFFFF < m:
+        threshold = ((1 << 32) - m) % m
+        while product & 0xFFFFFFFF < threshold:
+            product = draw(state) * m
+    return product >> 32
+
+
 def _rand_word(n: int, rng: np.random.Generator) -> int:
     # raw 64-bit PRNG outputs; far cheaper per draw than Generator.bytes
     if n <= 64:
@@ -99,9 +120,7 @@ def _k_complement(words, n, params, rng):
 def _k_flip_one(words, n, params, rng):
     x, y = words
     d = x ^ y
-    if d == 0:
-        return x
-    return x ^ (1 << nth_set_bit(d, int(rng.integers(d.bit_count()))))
+    return x ^ (1 << nth_set_bit(d, _below(d.bit_count(), rng))) if d else x
 
 
 def _k_flip_k(words, n, params, rng):
@@ -137,14 +156,14 @@ def _k_switch(words, n, params, rng):
 
 
 def _k_flip_one_uniform(words, n, params, rng):
-    return words[0] ^ (1 << int(rng.integers(n)))
+    return words[0] ^ (1 << _below(n, rng))
 
 
 def _k_choose_consistent(words, n, params, rng):
     survivors = consistent_words(n, words, params)
     if survivors.size == 0:
         return random_word(n, rng)
-    return int(survivors[int(rng.integers(survivors.size))])
+    return int(survivors[_below(survivors.size, rng)])
 
 
 def _k_choose_consistent_sub(words, n, params, rng):

@@ -18,8 +18,10 @@ is deliberately no memoization.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,27 +96,12 @@ class LeadingOnesInstance(_HiddenInstance):
     @cached_property
     def _prefix_masks(self) -> tuple[int, ...]:
         # _prefix_masks[j] covers the positions of the first j slots
-        masks = [0]
-        acc = 0
-        for pos in self.sigma.mapping:
-            acc |= 1 << pos
-            masks.append(acc)
-        return tuple(masks)
+        return tuple(accumulate((1 << pos for pos in self.sigma.mapping), int.__or__, initial=0))
 
     def evaluate_word(self, word: int) -> int:
-        diff = word ^ self._zword
-        if diff == 0:
-            return self._n
-        # largest j with the first j slots clean; invariant lo clean, hi dirty
-        masks = self._prefix_masks
-        lo, hi = 0, self._n
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if diff & masks[mid]:
-                hi = mid
-            else:
-                lo = mid
-        return lo
+        # the masks are nested, so diff & masks[j] never decreases in j: the
+        # value is the last j before it turns nonzero (n if it never does)
+        return bisect_right(self._prefix_masks, 0, key=(word ^ self._zword).__and__) - 1
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,13 @@ class TestReport:
         "0,binary_onemax,onemax,16,2,-7,40,true,false",
         "0,binary_onemax,onemax,16,2,7,-9,true,true",
         "0,binary_onemax,onemax,16,2,7,9,true,true",
+        ",rls,onemax,8,57,0,9,true,false",
+        "banana,rls,onemax,8,1,0,9,true,false",
+        "-3,rls,onemax,8,1,0,9,true,false",
+        "0,rls,onemax,8,57,0,9,true,false",
+        "0,kary_onemax,onemax,60,2,7,40,true,false",
+        "0,kary_onemax,onemax,60,25,7,40,true,false",
+        "0,binary_onemax,leadingones,16,2,7,40,true,false",
     ])
     def test_bad_row_exits_1(self, tmp_path, bad):
         path = str(tmp_path / "bad.csv")

@@ -436,6 +436,17 @@ class TestFileRoundTrips:
         ("0,rls,onemax,8,1,-1,9,true,false", "k, seed and queries non-negative"),
         ("0,rls,onemax,8,1,0,-9,true,false", "k, seed and queries non-negative"),
         ("0,rls,onemax,8,1,0,9,true,true", "not both true"),
+        (",rls,onemax,8,1,0,9,true,false", "must be integers"),
+        ("banana,rls,onemax,8,1,0,9,true,false", "must be integers"),
+        ("-1,rls,onemax,8,1,0,9,true,false", "run_id, k, seed and queries non-negative"),
+        ("0,rls,onemax,8,57,0,9,true,false", "rls fixes k = 1"),
+        ("0,binary_onemax,onemax,8,1,0,9,true,false", "binary_onemax fixes k = 2"),
+        ("0,star_ary_onemax,onemax,8,2,0,9,true,false", "star_ary_onemax fixes k = 0"),
+        ("0,kary_onemax,onemax,8,2,0,9,true,false", "requires 3 <= k <= 24"),
+        ("0,kary_onemax,onemax,60,25,0,9,true,false", "requires 3 <= k <= 24"),
+        ("0,rls,monotone,8,1,0,9,true,false", "does not run on class monotone"),
+        ("0,binary_leadingones,onemax,8,2,0,9,true,false", "does not run on class onemax"),
+        ("0,star_ary_onemax,onemax,25,0,0,9,true,false", "n must be <= 24"),
     ])
     def test_read_rejects_bad_rows_naming_file_and_line(self, tmp_path, row, complaint):
         path = str(tmp_path / "bad.csv")

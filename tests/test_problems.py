@@ -23,6 +23,23 @@ def bs(s: str) -> BitString:
     return BitString.from_string(s)
 
 
+def leadingones_binary_search(inst: LeadingOnesInstance, word: int) -> int:
+    """The binary search over prefix masks that one bisect replaced, verbatim."""
+    diff = word ^ inst._zword
+    if diff == 0:
+        return inst._n
+    # largest j with the first j slots clean; invariant lo clean, hi dirty
+    masks = inst._prefix_masks
+    lo, hi = 0, inst._n
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if diff & masks[mid]:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 class TestOneMax:
     def test_known_value(self):
         inst = OneMaxInstance(bs("1011"))
@@ -87,6 +104,19 @@ class TestLeadingOnes:
                         break
                     v += 1
                 assert inst.evaluate_word(x.word) == v
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256, 1024])
+    def test_matches_the_binary_search(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(5):
+            inst = random_instance("leadingones", n, seed)
+            z = inst.z.word
+            words = [int.from_bytes(rng.bytes(n // 8 + 1), "little") & ((1 << n) - 1)
+                     for _ in range(50)]
+            words += [z] + [z ^ (1 << pos) for pos in inst.sigma.mapping]
+            for word in words:
+                assert inst.evaluate_word(word) == leadingones_binary_search(inst, word)
+            assert inst.evaluate_word(z) == n
 
     def test_sigma_size_mismatch(self):
         with pytest.raises(ValueError):
