@@ -14,6 +14,7 @@ failure).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -126,6 +127,13 @@ def _instances_payload(records) -> list[dict]:
     return out
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work when ``--out`` names a file in a missing directory."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+
+
 def _print_written(paths: dict) -> int:
     for path in paths.values():
         print(f"wrote {path}")
@@ -135,6 +143,8 @@ def _print_written(paths: dict) -> int:
 def _cmd_run(args) -> int:
     if args.debug_instances and not args.out:
         raise ConfigError("--debug-instances requires --out")
+    if args.out:
+        _check_out_dir(args.out)
     cfg = ExperimentConfig(
         algorithm=args.algorithm,
         class_name=args.class_name,
@@ -187,6 +197,8 @@ def _cmd_verify_unbiased(args) -> int:
 
 
 def _cmd_check_bound(args) -> int:
+    if args.n < 2:
+        raise ConfigError(f"--n must be at least 2, got {args.n}: there is no even d in 2..n")
     grid = None
     if args.grid is not None:
         try:
@@ -195,6 +207,8 @@ def _cmd_check_bound(args) -> int:
             raise ConfigError(
                 f"--grid must be comma-separated integers, got {args.grid!r}"
             ) from e
+        if len(set(grid)) < len(grid):
+            raise ConfigError(f"--grid values must be distinct, got {args.grid!r}")
     try:
         res = check_proposition1(args.n, grid)
     except ValueError as e:
@@ -229,6 +243,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_out_dir(args.out)
     summaries = summarize(read_runs_csv(args.input))
     return _print_written(
         write_summaries(summaries, args.out, output_stem(args.out) + ".report.json")

@@ -1,19 +1,19 @@
-"""Unbiased variation operators: seeded samplers plus exact output pmfs.
+"""Unbiased variation operators: seeded samplers plus exact output supports.
 
 Each operator exists in two forms: a sampler that draws one output from the
 operator's distribution using a caller-supplied generator, and (for n up to
-16) the exact probability mass function over outputs.  The pmf form is what
-makes unbiasedness certification exact instead of statistical.  It is defined
-once, by ``pmf_vector``: a dense float64 array of length 2**n indexed by
-output word, which the certifier pushes through xor shifts by an index
-array and through permutations by a tensor transpose.  ``exact_pmf`` is the same pmf as an ``OutputDistribution``
-over ``BitString`` outputs, built from the vector's nonzero entries.
+16) its exact output distribution.  The exact form is what makes
+unbiasedness certification exact instead of statistical.  Every family is
+uniform on its support, so the distribution is defined once, by
+``output_support``: the ascending int64 array of output words, each with
+probability 1/size.  ``exact_pmf`` is the same distribution as an
+``OutputDistribution`` over ``BitString`` outputs.
 
 The word-level kernels are the only definition of what an operator samples.
 ``OPERATORS`` maps each family name to its kernel and its arity rule, and
 ``OperatorId``, ``sample_operator`` (the hot path shared with the run engine
 and the statistical certifier) and the final, deterministic branch of
-``pmf_vector`` all read that one table.  A family's arity rule is its fixed
+``output_support`` all read that one table.  A family's arity rule is its fixed
 arity, an int, for a family that takes no params; for a parametric family it
 is a function from the params to the arity, which raises ``ValueError``
 naming the family on params it rejects.  ``OperatorId`` applies the rule
@@ -44,7 +44,7 @@ __all__ = [
     "OPERATORS",
     "sample_operator",
     "exact_pmf",
-    "pmf_vector",
+    "output_support",
     "EXACT_PMF_LIMIT",
     "UNIFORM_SAMPLE",
     "COMPLEMENT",
@@ -61,15 +61,6 @@ __all__ = [
 EXACT_PMF_LIMIT = 16
 
 
-def _check_probabilities(values: list[float]) -> None:
-    """A pmf's probabilities sum to 1 within 1e-12 and none is negative."""
-    total = fsum(values)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    if min(values) < 0:
-        raise ValueError("negative probability in support")
-
-
 @dataclass(frozen=True)
 class OutputDistribution:
     """Exact output distribution of one operator application."""
@@ -77,7 +68,12 @@ class OutputDistribution:
     support: dict
 
     def __post_init__(self) -> None:
-        _check_probabilities(list(self.support.values()))
+        values = list(self.support.values())
+        total = fsum(values)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if min(values) < 0:
+            raise ValueError("negative probability in support")
 
 
 def _below(m: int, rng: np.random.Generator) -> int:
@@ -263,15 +259,12 @@ def _check_lengths(*xs: BitString) -> int:
     return n
 
 
-def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
-    """Exact output pmf of op on the parent words, indexed by output word.
-
-    A float64 array of length 2**n (n <= 16) whose entry w is the
-    probability that op outputs w.  Each family writes its support through
-    one index array: randomWhereDifferent and flipKWhereDifferent select the
-    submasks of the parents' difference from arange(2**n), and
-    chooseConsistent and chooseConsistentSub index with the ascending
-    survivor array of ``consistent_words``.
+def output_support(op: OperatorId, words, n: int) -> np.ndarray:
+    """Exact output distribution of op on the parent words (n <= 16): the
+    ascending int64 array of its outputs, each with probability 1/size.
+    Each family returns the index array it builds: the submasks of the
+    parents' difference, the survivors of ``consistent_words`` or their
+    embedding, or its deterministic kernel's word.
     """
     if len(words) != op.arity:
         raise ValueError(f"{op.name} expects {op.arity} parents, got {len(words)}")
@@ -284,64 +277,47 @@ def pmf_vector(op: OperatorId, words, n: int) -> np.ndarray:
     for w in words:
         if w < 0 or w >> n:
             raise ValueError(f"word {w:#x} does not fit in {n} bits")
-    size = 1 << n
-    v = np.zeros(size)
     name = op.name
-
     if name == "uniformSample":
-        v[:] = 1.0 / size
-    elif name == "flipOneWhereDifferent":
+        return np.arange(1 << n)
+    if name == "flipOneWhereDifferent":
         x, y = words
         pos = differing_positions(x, y, n)
-        if pos.size == 0:
-            v[x] = 1.0
-        else:
-            v[x ^ (1 << pos)] = 1.0 / pos.size
-    elif name in ("flipKWhereDifferent", "randomWhereDifferent"):
+        return np.sort(x ^ (1 << pos)) if pos.size else np.array([x])
+    if name in ("flipKWhereDifferent", "randomWhereDifferent"):
         x, y = words
         d = x ^ y
-        sub = np.arange(size)
+        sub = np.arange(1 << n)
         sub = sub[(sub & d) == sub]
         if name == "randomWhereDifferent":
-            v[x ^ sub] = 1.0 / (1 << d.bit_count())
-        else:
-            sub = sub[np.bitwise_count(sub) == min(op.params[0], d.bit_count())]
-            v[y ^ sub] = 1.0 / sub.size
-    elif name == "flipOneUniform":
-        v[words[0] ^ (1 << np.arange(n))] = 1.0 / n
-    elif name == "chooseConsistent":
+            return np.sort(x ^ sub)
+        return np.sort(y ^ sub[np.bitwise_count(sub) == min(op.params[0], d.bit_count())])
+    if name == "flipOneUniform":
+        return np.sort(words[0] ^ (1 << np.arange(n)))
+    if name == "chooseConsistent":
         survivors = consistent_words(n, words, op.params)
-        if survivors.size == 0:
-            v[:] = 1.0 / size
-        else:
-            v[survivors] = 1.0 / survivors.size
-    elif name == "chooseConsistentSub":
+        return survivors.astype(np.int64) if survivors.size else np.arange(1 << n)
+    if name == "chooseConsistentSub":
         block, outside, proj = block_projection(n, words[:-2], op.params, words[-2], words[-1])
         survivors = consistent_words(len(block), proj, op.params)
         if survivors.size == 0:
-            survivors = np.arange(1 << len(block), dtype=np.uint32)
-        v[embed_word(survivors, block, outside)] = 1.0 / survivors.size
-    else:
-        # every family left is deterministic: its kernel needs no generator
-        v[OPERATORS[name][0](words, n, None, None)] = 1.0
-    _check_probabilities(v[v != 0].tolist())
-    return v
+            survivors = np.arange(1 << len(block))
+        # the block ascends, so embedding keeps the survivors' order
+        return embed_word(survivors, block, outside)
+    # every family left is deterministic: its kernel needs no generator
+    return np.array([OPERATORS[name][0](words, n, None, None)])
 
 
 def exact_pmf(op: OperatorId, inputs: list[BitString], n: int | None = None) -> OutputDistribution:
-    """Full output distribution of op on the given parents; n <= 16 only.
-
-    The support is the nonzero entries of ``pmf_vector``.  ``n`` is required
-    only for 0-ary operators, where no parent fixes the length.
-    """
+    """Full output distribution of op on the given parents, built from
+    ``output_support`` (n <= 16).  ``n`` is required only for 0-ary
+    operators, where no parent fixes the length."""
     if len(inputs) != op.arity:
         raise ValueError(f"{op.name} expects {op.arity} parents, got {len(inputs)}")
     if inputs:
         n = _check_lengths(*inputs)
     elif n is None:
         raise ValueError("n is required for 0-ary operators")
-    v = pmf_vector(op, [x.word for x in inputs], n)
-    support = np.flatnonzero(v)
-    return OutputDistribution(
-        {BitString(n, w): p for w, p in zip(support.tolist(), v[support].tolist())}
-    )
+    support = output_support(op, [x.word for x in inputs], n)
+    p = 1.0 / support.size
+    return OutputDistribution({BitString(n, w): p for w in support.tolist()})

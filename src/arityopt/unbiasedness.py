@@ -2,19 +2,18 @@
 
 An operator is unbiased when its output distribution commutes with every
 xor shift and every bit-position permutation of its inputs.  For n up to 16
-both conditions are checked exactly by comparing full pmfs; beyond that the
+both conditions are checked exactly, on output supports; beyond that the
 certifier degrades to a statistical two-sample comparison of sampler output.
 A deliberately biased control operator (constant all-ones output) is built in
 as a negative control for the certification pipeline itself.
 
-Everything is computed on int words.  One exact check per trial builds the
-pmf of the trial's words once, as a dense vector from
-``operators.pmf_vector`` indexed by output word, and pushes it through both
-bijections of words.  The xor shift is one scatter through the table
-``arange(2**n) ^ z``.  The permutation moves the bits of every index, so it
-is a transpose of the vector seen as a ``(2,)*n`` tensor with one axis per
-bit.  A push only moves entries and sums none, so every probability,
-deviation and report is the one a dict pmf over ``BitString`` outputs gives.
+Everything is computed on int words.  Every family, and the control, is
+uniform on its support, so an exact trial compares supports, the ascending
+word arrays of ``operators.output_support``.  It builds its own once and
+pushes it through the xor shift and through sigma, by the table of sigma(w)
+at every word w: ``arange(2**n)`` as a ``(2,)*n`` tensor, transposed.
+``_deviation`` gives the max |p - q| that dict pmfs over ``BitString``
+outputs give, so every deviation and report is theirs.
 
 A statistical trial draws its two samples interleaved, every draw through
 ``operators.sample_operator``, and then maps and profiles them in one pass
@@ -41,7 +40,7 @@ from .operators import (
     choose_consistent_id,
     choose_consistent_sub_id,
     exact_pmf,  # noqa: F401  (kept as a module attribute: per-layer tracing wraps it here)
-    pmf_vector,
+    output_support,
     sample_operator,
 )
 
@@ -82,31 +81,42 @@ class CertificationReport:
     passed: bool
 
 
-def _pmf(op, words: list[int], n: int) -> np.ndarray:
-    """Exact pmf vector of op on words; the control is one-hot at all-ones."""
+def _support(op, words: list[int], n: int) -> np.ndarray:
+    """Exact output support of op on words; the control's is all-ones."""
     if op.name == NEGATIVE_CONTROL_NAME:
-        v = np.zeros(1 << n)
-        v[-1] = 1.0
-        return v
-    return pmf_vector(op, words, n)
+        return np.array([(1 << n) - 1])
+    return output_support(op, words, n)
 
 
 def _control_sample(inputs, n, rng):
     return (1 << n) - 1
 
 
-def _permute_pmf(v: np.ndarray, sigma: Permutation) -> np.ndarray:
-    """v pushed through sigma: a transpose of the (2,)*n tensor, whose axis k is bit n-1-k."""
-    n, m = sigma.size, sigma.mapping
-    return v.reshape((2,) * n).transpose([n - 1 - m[n - 1 - k] for k in range(n)]).reshape(-1)
+def _word_table(sigma: Permutation) -> np.ndarray:
+    """sigma(w) at index w: arange(2**n) as the (2,)*n tensor whose axis k is
+    bit n-1-k, transposed by the inverse of sigma."""
+    n, inverse = sigma.size, np.argsort(sigma.mapping)
+    axes = [n - 1 - inverse[n - 1 - k] for k in range(n)]
+    return np.arange(1 << n).reshape((2,) * n).transpose(axes).reshape(-1)
+
+
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """max |p - q| over the union of two ascending supports, each uniform:
+    1/size on a word only one of them holds, |pa - pb| on a shared word."""
+    if np.array_equal(a, b):
+        return 0.0
+    pa, pb = 1.0 / a.size, 1.0 / b.size
+    common = np.intersect1d(a, b, assume_unique=True).size
+    # with no word shared, |pa - pb| is below both and changes no maximum
+    return max([abs(pa - pb)] + [pa] * (common < a.size) + [pb] * (common < b.size))
 
 
 def check_invariance(op, words: list[int], z: int, sigma: Permutation) -> tuple[bool, float]:
     """Exact check of both equivariance conditions on n = sigma.size bits.
 
-    pmf(words) pushed through xor-z must equal pmf(words xor z), and pushed
-    through sigma must equal pmf(sigma(words)).  Returns (passed, the larger
-    of the two max pointwise deviations).
+    The support on words, xored with z, must equal the support on the words
+    xor z, and mapped by sigma, the support on sigma(words).  Returns
+    (passed, the larger of the two max pointwise deviations).
     """
     n = sigma.size
     if n > EXACT_PMF_LIMIT:
@@ -115,13 +125,10 @@ def check_invariance(op, words: list[int], z: int, sigma: Permutation) -> tuple[
         )
     if z < 0 or z >> n:
         raise ValueError(f"word {z:#x} does not fit in {n} bits")
-    v = _pmf(op, words, n)
-    # the xor table is a bijection, so one scatter overwrites every entry
-    pushed = np.empty_like(v)
-    pushed[np.arange(1 << n) ^ z] = v
-    dev_x = float(np.abs(pushed - _pmf(op, [w ^ z for w in words], n)).max())
+    s = _support(op, words, n)
+    dev_x = _deviation(np.sort(s ^ z), _support(op, [w ^ z for w in words], n))
     permuted = [apply_permutation(sigma, w) for w in words]
-    dev_p = float(np.abs(_permute_pmf(v, sigma) - _pmf(op, permuted, n)).max())
+    dev_p = _deviation(np.sort(_word_table(sigma)[s]), _support(op, permuted, n))
     dev = max(dev_x, dev_p)
     return dev <= EXACT_TOLERANCE, dev
 
@@ -230,7 +237,7 @@ def certify_operator(op, n: int, trials: int, rng, mode: str | None = None) -> C
     """Certify one operator family over random trials.
 
     ``op`` may be a family name or an OperatorId (its name selects the
-    family).  Exact mode compares pmfs for both invariance conditions on
+    family).  Exact mode compares supports for both invariance conditions on
     random (inputs, z, sigma); it applies for n <= 16.  Statistical mode
     compares sampler frequencies under random automorphisms and applies at
     any n; failures there are statistical evidence, not proof.

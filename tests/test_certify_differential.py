@@ -1,17 +1,18 @@
-"""Exact certification on dense pmf vectors against the dict pmfs it replaced.
+"""Exact certification on output supports against the dict pmfs it replaced.
 
-``operators.pmf_vector`` gives an operator's exact pmf as a float64 array
-indexed by output word, and the certifier pushes it through xor shifts by an
-index array and through position permutations by a tensor transpose, which
-``TestPermutePmf`` checks against the scatter through ``permute_words``'s
-table that it replaced.  Every probability, every deviation and every report
-must be the one the earlier dict-of-``BitString`` code gave, and the
-generator must stand at the same place afterwards.  The earlier
-``OutputDistribution`` (with ``push`` and ``max_deviation``), ``exact_pmf``,
-the two checks and the ``BitString`` xor and permutation are kept here as the
-oracle.  They compute on ``BitString`` inside; the two checks take the
-certifier's int words at their boundary, and ``dict_check_invariance`` joins
-them into the one check the certifier makes per trial.
+``operators.output_support`` gives an operator's exact output distribution as
+the ascending array of its output words, each equally likely, and the
+certifier pushes it through xor shifts directly and through position
+permutations by a table of sigma(w) at every word w, built by a tensor
+transpose, which ``TestWordTable`` checks against ``permute_words``.  Every
+probability, every deviation and every report must be the one the earlier
+dict-of-``BitString`` code gave, and the generator must stand at the same
+place afterwards.  The earlier ``OutputDistribution`` (with ``push`` and
+``max_deviation``), ``exact_pmf``, the two checks and the ``BitString`` xor
+and permutation are kept here as the oracle.  They compute on ``BitString``
+inside; the two checks take the certifier's int words at their boundary,
+and ``dict_check_invariance`` joins them into the one check the certifier
+makes per trial.
 
 Statistical certification draws its samples in a loop and profiles them in
 one array pass, on int64 words below n = 64 and on Python ints from there
@@ -506,65 +507,88 @@ class TestChi2MatchesScipy:
 
 class TestPushDirection:
     """Unbiased operators deviate by 0 whichever way sigma is pushed, so the
-    direction is checked on pmfs with no symmetry.  A stand-in ``pmf_vector``
-    gives a drawn pmf v on the word x and the dict push of v on the
-    transformed word; ``check_invariance`` then deviates by exactly 0 only
-    where its push equals the dict push entrywise."""
+    direction is checked on supports with no symmetry.  A stand-in
+    ``output_support`` gives a drawn random subset s on the word x and the
+    dict push of s on the transformed word; ``check_invariance`` then
+    deviates by exactly 0 only where its push equals the dict push."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 10).flatmap(
         lambda n: st.tuples(st.permutations(range(n)), st.integers(0, (1 << n) - 1),
                             st.integers(0, (1 << n) - 1), st.integers(0, 2**64 - 1))))
-    def test_push_matches_dict_push_entrywise(self, drawn):
+    def test_push_matches_dict_push(self, drawn):
         mapping, x, z, seed = drawn
         n = len(mapping)
         sigma = Permutation(tuple(mapping))
-        weights = np.random.default_rng(seed).random(1 << n) + 0.01
-        v = weights / weights.sum()
-        dist = OutputDistribution({BitString(n, w): p for w, p in enumerate(v.tolist())})
+        rng = np.random.default_rng(seed)
+        keep = rng.random(1 << n) < 0.5
+        keep[rng.integers(1 << n)] = True  # never empty
+        s = np.flatnonzero(keep)
+        dist = OutputDistribution({BitString(n, w): 1.0 / s.size for w in s.tolist()})
 
-        def vector(d):
-            return np.array([d.prob(BitString(n, w)) for w in range(1 << n)])
+        def support(d):
+            return np.array(sorted(b.word for b in d.support))
 
-        def check(pmfs, word, z, sigma):
+        def check(supports, word, z, sigma):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(unbiasedness, "pmf_vector", lambda op, ws, m: pmfs[ws[0]])
+                mp.setattr(unbiasedness, "output_support", lambda op, ws, m: supports[ws[0]])
                 return check_invariance(COMPLEMENT, [word], z, sigma)
 
-        want = vector(dist.push(lambda b: bs_xor(b, BitString(n, z))))
-        assert check({x: v, x ^ z: want}, x, z, identity(n)) == (True, 0.0)
-        # a word sigma moves, so the two pmfs of the stand-in sit at two words
+        want = support(dist.push(lambda b: bs_xor(b, BitString(n, z))))
+        assert check({x: s, x ^ z: want}, x, z, identity(n)) == (True, 0.0)
+        # a word sigma moves, so the two supports of the stand-in sit at two words
         xp = next((1 << i for i, j in enumerate(mapping) if i != j), x)
         yp = bs_apply_permutation(sigma, BitString(n, xp)).word
-        want = vector(dist.push(lambda b: bs_apply_permutation(sigma, b)))
-        assert check({xp: v, yp: want}, xp, 0, sigma) == (True, 0.0)
+        want = support(dist.push(lambda b: bs_apply_permutation(sigma, b)))
+        assert check({xp: s, yp: want}, xp, 0, sigma) == (True, 0.0)
 
 
-def scatter_push(v: np.ndarray, sigma: Permutation) -> np.ndarray:
-    """v pushed through sigma by one scatter through ``permute_words``'s table."""
-    out = np.empty_like(v)
-    out[permute_words(sigma, np.arange(v.size))] = v
-    return out
+class TestDeviation:
+    """``_deviation`` on two uniform supports against the dict pmfs'
+    ``max_deviation``, bit for bit.  Certified operators deviate by 0 and
+    the control's supports hold one word, so these pairs are drawn: equal,
+    nested either way, overlapping and disjoint, of any sizes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**64 - 1), st.sampled_from(
+        ("equal", "a_in_b", "b_in_a", "random", "disjoint")))
+    def test_matches_dict_max_deviation(self, n, seed, shape):
+        rng = np.random.default_rng(seed)
+        words = rng.permutation(1 << n)
+        cut = int(rng.integers(1, (1 << n) + 1))
+        a = words[:cut]
+        b = {"equal": a, "a_in_b": words[:int(rng.integers(cut, (1 << n) + 1))],
+             "b_in_a": a[:int(rng.integers(1, cut + 1))],
+             "random": words[rng.random(1 << n) < 0.5] if n > 1 else a,
+             "disjoint": words[cut:] if cut < 1 << n else a}[shape]
+        if b.size == 0:
+            b = words[:1]
+
+        def dist(s):
+            return OutputDistribution({BitString(n, int(w)): 1.0 / s.size for w in s})
+
+        got = unbiasedness._deviation(np.sort(a), np.sort(b))
+        assert type(got) is float
+        assert repr(got) == repr(dist(a).max_deviation(dist(b)))
 
 
-class TestPermutePmf:
-    """The transpose that pushes a pmf through sigma against the scatter it
-    replaced, on pmfs with distinct entries, so any misplaced entry shows."""
+class TestWordTable:
+    """The table of sigma(w) at every word w, a transpose of arange(2**n),
+    against ``permute_words`` on arange(2**n)."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_permutation_up_to_n_6(self, n):
-        v = np.random.default_rng(n).random(1 << n)
+        words = np.arange(1 << n)
         for mapping in permutations(range(n)):
             sigma = Permutation(mapping)
-            assert np.array_equal(unbiasedness._permute_pmf(v, sigma), scatter_push(v, sigma))
+            assert np.array_equal(unbiasedness._word_table(sigma), permute_words(sigma, words))
 
     @settings(max_examples=10, deadline=None)
-    @given(st.sampled_from((12, 16)).flatmap(lambda n: st.permutations(range(n))),
-           st.integers(0, 2**64 - 1))
-    def test_random_permutations_at_n_12_and_16(self, mapping, seed):
+    @given(st.sampled_from((12, 16)).flatmap(lambda n: st.permutations(range(n))))
+    def test_random_permutations_at_n_12_and_16(self, mapping):
         sigma = Permutation(tuple(mapping))
-        v = np.random.default_rng(seed).random(1 << len(mapping))
-        assert np.array_equal(unbiasedness._permute_pmf(v, sigma), scatter_push(v, sigma))
+        words = np.arange(1 << len(mapping))
+        assert np.array_equal(unbiasedness._word_table(sigma), permute_words(sigma, words))
 
 
 class TestPermuteWords:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from arityopt import cli
 from arityopt.bitcore import BitString
 from arityopt.consistency import ENUMERATION_DIM_LIMIT
 from arityopt.harness import RUNS_HEADER, SUMMARY_HEADER, seed_trial
@@ -198,6 +199,16 @@ class TestCheckBound:
         proc = run_cli("check-bound", "--n", "64", "--grid", "3")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (("--n", "1"), "--n must be at least 2, got 1: there is no even d in 2..n"),
+        (("--n", "64", "--grid", "2,2"), "--grid values must be distinct, got '2,2'"),
+    ])
+    def test_bad_input_exits_1(self, args, message):
+        proc = run_cli("check-bound", *args)
+        assert proc.returncode == 1
+        assert f"configuration error: {message}" in proc.stderr
+        assert proc.stdout == ""
+
     def test_tiny_n_violation_exits_3(self):
         # the asymptotic inequality may genuinely fail at tiny sizes
         proc = run_cli("check-bound", "--n", "4")
@@ -294,3 +305,30 @@ class TestReport:
         assert proc.returncode == 1
         assert "configuration error" in proc.stderr
         assert f"{path}, line 2" in proc.stderr
+
+
+class TestOutDirectory:
+    """An --out in a missing directory fails with exit 1 before any work,
+    in process, so a batch or a report never runs only to be lost."""
+
+    def _fail_if_called(self, *args, **kwargs):
+        pytest.fail("called although --out cannot be written")
+
+    def test_run_checks_out_before_the_batch(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", self._fail_if_called)
+        out = tmp_path / "missing" / "runs.csv"
+        code = cli.main(["run", "--algorithm", "rls", "--class", "onemax", "--n", "4",
+                         "--trials", "2", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: --out {out}: directory {out.parent} does not exist" in err
+        assert not out.parent.exists()
+
+    def test_report_checks_out_before_reading(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "read_runs_csv", self._fail_if_called)
+        out = tmp_path / "missing" / "again.csv"
+        code = cli.main(["report", "--input", str(tmp_path / "runs.csv"), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: --out {out}: directory {out.parent} does not exist" in err
+        assert not out.parent.exists()

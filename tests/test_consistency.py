@@ -19,7 +19,7 @@ from arityopt.consistency import (
 from arityopt.operators import (
     choose_consistent_id,
     choose_consistent_sub_id,
-    pmf_vector,
+    output_support,
     sample_operator,
 )
 from arityopt.problems import random_instance
@@ -175,12 +175,12 @@ class TestConsistentWordsInputs:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("dim", [8, 16])
-    def test_pmf_vector_rejects_a_value_above_dim(self, dim):
+    def test_output_support_rejects_a_value_above_dim(self, dim):
         # 16 is the exact pmf limit, above the split; wide points fail
-        # pmf_vector's own word check first
+        # output_support's own word check first
         for values in ([dim + 1], [-1]):
             with pytest.raises(ValueError, match=self.BAD.format(dim=dim)):
-                pmf_vector(choose_consistent_id(values), [0], dim)
+                output_support(choose_consistent_id(values), [0], dim)
 
     def test_bounds_are_accepted(self):
         np.testing.assert_array_equal(consistent_words(8, [255, 0], [8, 0]), [255])

@@ -23,7 +23,7 @@ from arityopt.operators import (
     choose_consistent_sub_id,
     exact_pmf,
     flip_k_id,
-    pmf_vector,
+    output_support,
     sample_operator,
 )
 
@@ -92,7 +92,7 @@ class TestOperatorId:
                 with pytest.raises(ValueError, match="parents"):
                     sample_operator(op, words, 4, rng)
                 with pytest.raises(ValueError, match="parents"):
-                    pmf_vector(op, words, 4)
+                    output_support(op, words, 4)
 
     @pytest.mark.parametrize("name", sorted(n for n, (_, r) in OPERATORS.items() if isinstance(r, int)))
     def test_fixed_arity_family_rejects_params(self, name):
