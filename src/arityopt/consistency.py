@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitcore import BitString, differing_positions
+from .bitcore import BitString, differing_positions  # noqa: F401  (per-layer tracing wraps it here)
 
 __all__ = [
     "ExactEnumerationUnavailable",
@@ -194,9 +194,12 @@ def block_projection(n: int, point_words, values, anchor_lo: int, anchor_hi: int
     in 0..len(block).  Returns (block_positions, outside, projected_words),
     where ``outside`` is the anchors' shared bits off the block.
     """
-    block = tuple(differing_positions(anchor_lo, anchor_hi, n).tolist())
-    _require_enumerable(len(block))
     block_mask = (anchor_lo ^ anchor_hi) & ((1 << n) - 1)
+    _require_enumerable(block_mask.bit_count())
+    block, rest = (), block_mask
+    while rest:
+        block += ((rest & -rest).bit_length() - 1,)
+        rest &= rest - 1
     outside = anchor_lo & ~block_mask
     off_block = ~block_mask & ((1 << n) - 1)
     # All points at once: point i's block span sits in slot i of one int, and

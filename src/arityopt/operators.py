@@ -24,8 +24,10 @@ survivors, or a uniform word if there are none; chooseConsistentSub makes
 that draw on its anchors' block, between ``block_projection`` and ``embed_word``.
 
 Bounded draws go through ``_below``, which replays numpy's ``rng.integers(m)``
-(Lemire's multiply-shift rejection) on the bit generator's C interface; a
-differential test pins it to numpy, and CI runs that test on numpy 2.0 too.
+(Lemire's multiply-shift rejection) on the bit generator's C interface, and
+so does flipK's ``rng.choice(c, take, replace=False)`` up to
+``_FLOYD_TAKE_LIMIT`` ranks, where numpy runs Floyd's algorithm at any c.
+Differential tests pin both to numpy, and CI runs them on numpy 2.0 too.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
 ]
 
 EXACT_PMF_LIMIT = 16
+_FLOYD_TAKE_LIMIT = 5  # larger flipK takes cost less as one rng.choice call (timeit)
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,17 @@ def _k_flip_k(words, n, params, rng):
     d = x ^ y
     c = d.bit_count()
     take = min(params[0], c)
-    if take == 0:
-        return y
+    if take > _FLOYD_TAKE_LIMIT:
+        ranks = rng.choice(c, size=take, replace=False).tolist()
+    else:  # numpy's Floyd draws, then its shuffle's, whose order xor ignores
+        ranks = set()
+        for j in range(c - take, c):
+            v = _below(j + 1, rng)
+            ranks.add(j if v in ranks else v)
+        for i in range(take - 1, 0, -1):
+            _below(i + 1, rng)
     out = y
-    for r in rng.choice(c, size=take, replace=False).tolist():
+    for r in ranks:
         out ^= 1 << nth_set_bit(d, r)
     return out
 

@@ -19,9 +19,10 @@ A statistical trial draws its two samples interleaved, every draw through
 ``operators.sample_operator``, and then maps and profiles them in one pass
 over an array of int64 words (of Python ints from n = 64 on): side 1 is
 pushed through the automorphism by ``permute_words``, and every sample
-becomes a row of Hamming distances counted by ``np.bitwise_count``.  The
-two sides' profile counts are then compared by Pearson's chi-square test,
-computed with ``math.erfc``, ``math.exp`` and ``math.lgamma``.
+becomes a row of Hamming distances counted by ``np.bitwise_count``, whose
+lexicographic rank is its cell.  The two sides' cell counts are compared by
+Pearson's chi-square test, computed with ``math.erfc``, ``math.exp`` and
+``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -191,6 +192,15 @@ def _chi2_contingency_p(a: np.ndarray, b: np.ndarray) -> float:
     return p
 
 
+def _cells(table: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """(distinct rows, each row's lexicographic rank) of an int64 table in
+    0..n, ranked a column at a time on the 1-D key rank * (n + 1) + column."""
+    cell = 0
+    for col in table.T:
+        keys, cell = np.unique(cell * (n + 1) + col, return_inverse=True)
+    return keys.size, cell
+
+
 def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     """Two-sample comparison of op(inputs) pushed through an automorphism
     against op on the transformed inputs.  Returns (p value, max freq diff).
@@ -200,7 +210,7 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     for n < 64 and on Python ints above, maps and profiles them: side 1 is
     pushed through the automorphism, and every sample becomes its popcount
     and its distances to the transformed inputs.  The cells are the
-    distinct profiles in ascending lexicographic order.
+    distinct profiles in ascending lexicographic order (``_cells``).
     """
     op, in_words = _trial_case(family, n, rng)
     sigma = Permutation.random(n, rng)
@@ -218,9 +228,9 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     words = np.array(w1 + w2, dtype=np.int64 if n < 64 else object)
     words[:samples] = permute_words(sigma, words[:samples]) ^ z
     rows = [np.bitwise_count(words)] + [np.bitwise_count(words ^ r) for r in ref]
-    cells, cell = np.unique(np.array(rows, dtype=np.int64).T, axis=0, return_inverse=True)
-    c1 = np.bincount(cell[:samples], minlength=len(cells)).astype(float)
-    c2 = np.bincount(cell[samples:], minlength=len(cells)).astype(float)
+    cells, cell = _cells(np.array(rows, dtype=np.int64).T, n)
+    c1 = np.bincount(cell[:samples], minlength=cells).astype(float)
+    c2 = np.bincount(cell[samples:], minlength=cells).astype(float)
     dev = float(np.max(np.abs(c1 - c2)) / samples)
     # merge sparse cells so the chi-square approximation is sound
     keep = (c1 + c2) >= 10

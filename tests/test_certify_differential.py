@@ -21,11 +21,15 @@ on.  The earlier per-sample loop, ``_statistical_trial`` with
 deviation and the generator state after a trial must be the same.  The loop
 still takes its p value from ``scipy.stats.chi2_contingency``, the test the
 program's standard-library ``_chi2_contingency_p`` replaced, so the two p
-values are also compared.
+values are also compared.  ``TestCells`` checks the trial's cells, ranked a
+profile distance at a time on 1-D keys, against the ``np.unique(axis=0)``
+they replaced.  ``TestCertifierStreams`` pins the reports and the final
+generator states of the benchmark's certify tasks at one seed.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import fsum
@@ -613,3 +617,60 @@ class TestPermuteWords:
         for w in words:
             assert table[w] == bs_apply_permutation(sigma, BitString(16, w)).word
             assert table[w] == apply_permutation(sigma, w)
+
+
+class TestCells:
+    """The rank-key cells of a statistical trial against the row-wise
+    ``np.unique`` they replaced: the same cell count, and each row's index
+    in ascending lexicographic order."""
+
+    @staticmethod
+    def assert_same_cells(table: np.ndarray, n: int) -> None:
+        want, want_index = np.unique(table, axis=0, return_inverse=True)
+        count, index = unbiasedness._cells(table, n)
+        assert count == len(want)
+        assert np.array_equal(index, want_index.reshape(-1))
+
+    def test_drawn_tables(self):
+        for seed in range(60):
+            rng = np.random.default_rng([seed, 19])
+            n = int(rng.choice([1, 2, 16, 20, 64, 100, 1000]))
+            columns = int(rng.integers(1, 10))
+            # a narrow spread of values makes rows repeat, as profiles do
+            lo = int(rng.integers(0, n + 1))
+            hi = min(n, lo + int(rng.integers(0, 4)) if seed % 2 else n)
+            table = rng.integers(lo, hi + 1, size=(4000, columns))
+            self.assert_same_cells(table, n)
+
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_all_equal_table(self, n):
+        self.assert_same_cells(np.full((4000, 5), n // 2, dtype=np.int64), n)
+
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_single_column(self, n):
+        table = np.random.default_rng(n).integers(0, n + 1, size=(4000, 1))
+        self.assert_same_cells(table, n)
+
+
+# The sha256 of every report and final generator state of the benchmark's
+# certify tasks at seed 1 (n = 8 and 12 exact, n = 16 statistical), recorded
+# from the code before the rank-key cells and the flipK, word and block
+# draws on the bit generator's C interface.
+CERTIFY_STREAM_DIGEST = "4462006d6dd98fd6dcdf1a26536e6d26cd45b14820fc9ff7cc2feda4774bb821"
+
+
+class TestCertifierStreams:
+    """Exact reports read deviation 0 whatever the draws, so the reports
+    alone cannot show a changed stream; each task's final generator state
+    can."""
+
+    def test_reports_and_final_states_are_pinned(self):
+        lines = []
+        for n, trials, mode in ((8, 100, "exact"), (12, 10, "exact"), (16, 1, "statistical")):
+            base = 707 if mode == "statistical" else 1
+            for i, family in enumerate(FAMILIES):
+                rng = np.random.default_rng((base, n, i))
+                report = certify_operator(family, n, trials, rng, mode=mode)
+                lines.append(f"{report!r} {rng.bit_generator.state!r}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == CERTIFY_STREAM_DIGEST

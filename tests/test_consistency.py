@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from arityopt import consistency
 from arityopt.bitcore import BitString
 from arityopt.consistency import (
     ENUMERATION_DIM_LIMIT,
@@ -304,3 +307,40 @@ class TestChooseConsistentSub:
             counts[project_word(out, (1, 2, 3))] += 1
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > ALPHA
+
+
+class TestBlockProjectionLimit:
+    """The block's width is the popcount of the anchors' xor, checked against
+    the enumeration limit before any block position is read."""
+
+    def test_wide_block_fails_before_any_bit_is_walked(self, monkeypatch):
+        n = 200_000
+        a_hi = int.from_bytes(b"\x55" * (n // 8), "little")
+        assert a_hi.bit_count() == 100_000
+
+        def unpack(*args):
+            raise AssertionError("block_projection unpacked the anchors' xor")
+
+        monkeypatch.setattr(consistency, "differing_positions", unpack)
+        start = time.perf_counter()
+        with pytest.raises(ExactEnumerationUnavailable, match="dimension 100000 exceeds"):
+            block_projection(n, [0], [0], 0, a_hi)
+        # walking the 100,000 block bits one at a time takes about 0.7 s on a
+        # 2-core VM; counting them takes microseconds
+        assert time.perf_counter() - start < 0.1
+
+    def test_block_at_the_limit_projects(self):
+        n = 200_000
+        rng = np.random.default_rng(24)
+        inner = rng.choice(np.arange(1, n - 1), size=ENUMERATION_DIM_LIMIT - 2, replace=False)
+        block = sorted([0, n - 1, *inner.tolist()])
+        assert len(block) == ENUMERATION_DIM_LIMIT
+        mask = sum(1 << p for p in block)
+        a_lo = int.from_bytes(rng.bytes(n // 8), "little") & ~mask
+        smalls = [int(s) for s in rng.integers(0, 1 << ENUMERATION_DIM_LIMIT, size=5)]
+        points = [embed_word(s, block, a_lo) for s in smalls]
+        got_block, outside, projected = block_projection(n, points, [3] * 5, a_lo, a_lo | mask)
+        assert got_block == tuple(block)
+        assert outside == a_lo
+        assert projected == smalls
+        assert projected == [project_word(w, block) for w in points]

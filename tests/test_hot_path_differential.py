@@ -7,14 +7,19 @@ weights with ``ndarray.compress``.  Bounded draws (``operators._below``, in
 ``flipOneWhereDifferent``, ``flipOneUniform`` and chooseConsistent's
 survivor index) replay numpy's own method for ``rng.integers(m)``, Lemire's
 multiply-shift rejection on ``next_uint32``, on the bit generator's C
-interface.  Each must reproduce the earlier numpy code exactly: the same
-output word, the same generator state afterwards (the full state dict,
-PCG64's buffered half-word included) and bit-identical floats, so that
-seeded runs keep their query counts and output bytes.  The earlier code is
-kept here verbatim as the oracle; the second value its kernels return is a
-draw record, which the comparisons ignore.  The replica depends on how numpy
-draws, so CI also compares it with ``rng.integers`` on numpy 2.0, the oldest
-numpy the package allows.
+interface.  ``flipKWhereDifferent`` replays ``rng.choice(c, take,
+replace=False)`` on those draws up to ``_FLOYD_TAKE_LIMIT`` ranks: Floyd's
+draws, then the draws of numpy's shuffle.  ``bitcore.random_word`` joins raw
+``next_uint32`` outputs little-endian up to ``_WORD_DRAW_BITS`` bits, where
+numpy's ``rng.bytes`` draws the same ones.  Each must reproduce the earlier
+numpy code exactly: the same output word, the same generator state
+afterwards (the full state dict, PCG64's buffered half-word included) and
+bit-identical floats, so that seeded runs keep their query counts and output
+bytes.  The earlier code is kept here verbatim as the oracle; the second
+value its kernels return is a draw record, which the comparisons ignore.
+The replicas depend on how numpy draws, so CI also compares ``_below``, the
+flipK draw and ``random_word`` with numpy on numpy 2.0, the oldest numpy the
+package allows.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arityopt.bitcore import BitString
+from arityopt.bitcore import _WORD_DRAW_BITS, BitString, random_word
 from arityopt.operators import (
+    _FLOYD_TAKE_LIMIT,
     FLIP_ONE_UNIFORM,
     FLIP_ONE_WHERE_DIFFERENT,
     _below,
@@ -194,6 +200,56 @@ class TestFlipKWhereDifferent:
         assert type(got) is int
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
         assert rng_new.integers(2**63) == rng_old.integers(2**63)
+
+
+# Population sizes of the flipK draw: no draw at 1, small ones, the operator's
+# n = 60, and both sides of numpy's 10,000 threshold, above which it runs
+# Floyd's algorithm only for takes up to c // 50.
+FLIP_K_POPULATIONS = (1, 2, 7, 60, 10_000, 10_001, 123_456)
+
+
+class TestFlipKDraw:
+    """The flipK kernel on x = 0, y = 2**c - 1 flips exactly the ranks it
+    draws, so the flipped bits are the set ``rng.choice`` returns."""
+
+    @pytest.mark.parametrize("c", FLIP_K_POPULATIONS)
+    def test_flipped_ranks_are_the_choice_set(self, c):
+        full = (1 << c) - 1
+        for seed in range(120):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for ell in range(_FLOYD_TAKE_LIMIT + 3):
+                take = min(ell, c)
+                got = sample_operator(flip_k_id(ell), (0, full), c, rng_new) ^ full
+                want = rng_old.choice(c, size=take, replace=False).tolist() if take else []
+                assert got == sum(1 << r for r in want), (seed, c, ell)
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, c, ell)
+
+
+def bytes_word(n: int, rng: np.random.Generator) -> int:
+    """The earlier ``random_word``: n bits of ``rng.bytes``, little-endian."""
+    return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+
+
+class TestRandomWord:
+    def test_matches_bytes_with_interleaved_draws(self):
+        lengths = list(range(1, 301)) + [1024, 4096]
+        assert {32, 33, _WORD_DRAW_BITS, _WORD_DRAW_BITS + 1} <= set(lengths)
+        for seed in range(12):
+            plan = np.random.default_rng([seed, 11])
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in lengths:
+                got = random_word(n, rng_new)
+                assert got == bytes_word(n, rng_old), (seed, n)
+                assert type(got) is int
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, n)
+                # a bounded draw leaves PCG64's buffered half-word for the
+                # next word to start from; a double leaves it as it is
+                step = int(plan.integers(3))
+                if step == 1:
+                    assert rng_new.random() == rng_old.random()
+                elif step == 2:
+                    m = int(plan.integers(1, 2**32))
+                    assert _below(m, rng_new) == int(rng_old.integers(m))
 
 
 class TestMonotoneEvaluation:
