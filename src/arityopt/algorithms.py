@@ -6,8 +6,9 @@ query for every application (deterministic operators included), and returns
 only the new point's handle and fitness.  Raw bitstrings stay inside the
 engine, so a policy structurally cannot compute from anything but fitness
 values and handles.  Any operator whose arity exceeds the configured maximum
-rejects the run.  A handle is the int position of its point in the oracle's
-query history, which is the only store of queried points.
+rejects the run.  A handle is an opaque :class:`PointHandle` that holds its
+point's word and its engine, so a queried word lives only as long as some
+policy holds its handle, and an engine accepts only its own handles.
 
 A run's cost is its number of queries up to and including the first one
 that reaches an optimum.  The engine enforces that in one place: it raises
@@ -51,6 +52,7 @@ __all__ = [
     "ModelViolation",
     "OptimumReached",
     "PolicyFailure",
+    "PointHandle",
     "EngineState",
     "PolicyView",
     "RunRecord",
@@ -92,13 +94,20 @@ class RunRecord:
     hit_budget: bool
 
 
+class PointHandle:
+    """A queried point as a policy holds it: opaque, made only by
+    :meth:`EngineState.apply`, and accepted only by the engine that made it."""
+
+    __slots__ = ("_word", "_engine")
+
+
 class EngineState:
     """Applies a policy's operators and queries their outputs on one oracle.
 
-    ``max_arity=None`` means unrestricted arity.  Queried words and their
-    fitnesses live in the oracle's history, and a handle is the int position
-    of a point in it.  Policies work against :class:`PolicyView` and never
-    see the words.
+    ``max_arity=None`` means unrestricted arity.  Each queried word lives in
+    the :class:`PointHandle` that ``apply`` returns for it, and in the
+    oracle's history only if the oracle keeps one.  Policies work against
+    :class:`PolicyView` and never see the words.
     """
 
     def __init__(self, oracle: Oracle, max_arity: int | None):
@@ -109,29 +118,32 @@ class EngineState:
         # the optimal value: n on OneMax and LeadingOnes, none on monotone
         self._target = None if oracle.debug_instance.kind == "monotone" else oracle.n
         self._query = oracle._query_word
-        self._points = oracle._words
 
-    def apply(self, op: OperatorId, parents, rng) -> tuple[int, float]:
+    def apply(self, op: OperatorId, parents, rng) -> tuple[PointHandle, float]:
         """Sample op on the referenced parents and query the result through
-        the oracle, which records it; returns (handle, fitness), or raises
-        OptimumReached once that query is recorded if its fitness is the
-        target."""
+        the oracle; returns (handle, fitness), or raises OptimumReached once
+        that query is counted if its fitness is the target.  Anything but
+        this engine's own handles is rejected before the query."""
         if self.max_arity is not None and op.arity > self.max_arity:
             raise ModelViolation(
                 f"{op.name} has arity {op.arity}, run allows at most {self.max_arity}"
             )
-        pts = self._points
-        m = len(pts)
         words = []
         for h in parents:
-            if h < 0 or h >= m:
-                raise ValueError(f"invalid point handle {h}")
-            words.append(pts[h])
-        # the oracle checks the budget before it appends word and fitness
-        fit = self._query(sample_operator(op, words, self.n, rng))
+            if type(h) is not PointHandle or h._engine is not self:
+                raise ValueError(f"invalid point handle {h!r}")
+            words.append(h._word)
+        # the oracle checks the budget before it counts the query
+        word = sample_operator(op, words, self.n, rng)
+        fit = self._query(word)
         if fit == self._target:
             raise OptimumReached
-        return m, fit
+        # PointHandle has no __init__: filling its slots here costs less than
+        # a constructor call (timeit)
+        h = PointHandle()
+        h._word = word
+        h._engine = self
+        return h, fit
 
     @property
     def view(self) -> "PolicyView":
@@ -139,9 +151,9 @@ class EngineState:
 
 
 class PolicyView:
-    """What a policy is allowed to see: apply and n.  Handles and fitness
-    values come back from ``apply``; the history itself stays with the
-    oracle."""
+    """What a policy is allowed to see: apply and n.  Opaque handles and
+    fitness values come back from ``apply``; the words stay inside the
+    handles and the oracle."""
 
     __slots__ = ("apply", "n")
 

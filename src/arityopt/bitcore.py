@@ -5,9 +5,6 @@ A :class:`BitString` of length ``n`` is stored as a Python integer whose bit
 0-based internally and in all serialized formats; the ASCII form puts position
 0 leftmost.  Integers keep xor and popcount at O(n / wordsize) per operation;
 the Hamming distance of two words is ``(x ^ y).bit_count()``.
-A run's cost in memory is another matter: the oracle keeps every queried word
-for the life of the run, about n**2 / 4 bytes per ``binary_onemax`` run, which
-is about 1 GB at n = 65,536.
 """
 
 from __future__ import annotations

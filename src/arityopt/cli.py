@@ -269,6 +269,10 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("arityopt: interrupted", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError:
+        # a MemoryError usually carries no message of its own
+        print(f"arityopt: error: {args.command} ran out of memory (MemoryError)", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as e:
         print(f"arityopt: error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME

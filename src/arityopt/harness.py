@@ -125,7 +125,8 @@ def _trial(args) -> RunRecord:
     algorithm, class_name, n, k, seed, budget = args
     try:
         instance, rng = seed_trial(class_name, n, seed)
-        oracle = Oracle(instance, budget)
+        # no history: a run keeps only the points its policy holds
+        oracle = Oracle(instance, budget, keep_history=False)
         spec = ALGORITHMS[algorithm]
         # Looked up in this module's globals at call time, so that a wrapper
         # set on harness.run_* (a tracer, a test) sees every run.

@@ -10,14 +10,15 @@ Three function families over {0,1}^n, each defined by concealed data:
   the value.
 
 The :class:`Oracle` is the only channel between search policies and an
-instance: it counts every evaluation, enforces an optional query budget, and
-keeps the full query history: the queried words and their values, in two
-parallel lists.  Search cost is measured purely in oracle queries, so there
-is deliberately no memoization.
+instance: it counts every evaluation, enforces an optional query budget, and,
+unless it is made with ``keep_history=False``, keeps the query history: each
+queried word with its value.  Search cost is measured purely in oracle
+queries, so there is deliberately no memoization.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -133,35 +134,35 @@ class Oracle:
     """Query gate around a hidden instance.
 
     Every call to :meth:`query` costs one unit and fails deterministically
-    once the budget is spent.  The history is kept as ``_words`` and
-    ``_values``, entry i being the i-th query; the query count is their
-    length.  Policies never see this object directly; the engine routes their
-    operator outputs through it and indexes its points by position in the
-    history.
+    once the budget is spent.  ``query_count`` counts the queries.  With
+    ``keep_history=True`` the oracle also records each queried word and its
+    value, in query order, for :attr:`history`; with ``False`` it keeps no
+    point, and a run's memory does not grow with its queries.  Policies
+    never see this object directly; the engine routes their operator
+    outputs through it.
     """
 
-    def __init__(self, instance, budget: int | None = None):
+    def __init__(self, instance, budget: int | None = None, *, keep_history: bool = True):
         if budget is not None and budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
         self._instance = instance
-        self._budget = budget
+        # no budget is an infinite one: the query path makes one comparison
+        self._budget = math.inf if budget is None else budget
         self._eval = instance.evaluate_word
-        self._words: list[int] = []
-        self._values: list = []
+        self._history: list[tuple[int, object]] | None = [] if keep_history else None
+        self.query_count = 0
 
     @property
     def n(self) -> int:
         return self._instance.n
 
     @property
-    def query_count(self) -> int:
-        return len(self._words)
-
-    @property
     def history(self) -> list[tuple[BitString, float]]:
         """Queried points with their values, in query order (a fresh copy)."""
+        if self._history is None:
+            raise RuntimeError("this oracle keeps no history: it was made with keep_history=False")
         n = self.n
-        return [(BitString(n, w), f) for w, f in zip(self._words, self._values)]
+        return [(BitString(n, w), f) for w, f in self._history]
 
     @property
     def debug_instance(self):
@@ -169,12 +170,13 @@ class Oracle:
         return self._instance
 
     def _query_word(self, word: int):
-        words = self._words
-        if self._budget is not None and len(words) >= self._budget:
-            raise BudgetExhausted(len(words))
+        count = self.query_count
+        if count >= self._budget:
+            raise BudgetExhausted(count)
         fit = self._eval(word)
-        words.append(word)
-        self._values.append(fit)
+        self.query_count = count + 1
+        if self._history is not None:
+            self._history.append((word, fit))
         return fit
 
     def query(self, x: BitString):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from arityopt.algorithms import (
     EngineState,
     ModelViolation,
     OptimumReached,
+    PointHandle,
     PolicyFailure,
     _subset_policy,
     default_budget,
@@ -52,39 +55,50 @@ def split_rng(seed: int):
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
 
-def record_applications(engine: EngineState) -> list:
-    """Wrap ``engine.apply`` so that each application that got its query,
-    the optimal one included, appends (op, parents); take ``engine.view``
-    after this."""
-    calls = []
-    apply = engine.apply
+def recording_positions(apply, calls: list):
+    """Wrap an ``apply``, bound or taken from the class, so that each
+    application that got its query, the optimal one included, appends
+    (op, parents) to ``calls``, with each parent handle given as the
+    position of its query in the oracle's history.  Assumes every query goes
+    through the wrapper."""
+    position = {}  # handle -> query position; handles hash by identity
 
-    def recording(op, parents, rng):
+    def recording(*args):
+        *_, op, parents, rng = args
         try:
-            out = apply(op, parents, rng)
+            out = apply(*args)
         except OptimumReached:
-            calls.append((op, tuple(parents)))
+            calls.append((op, tuple(position[h] for h in parents)))
             raise
-        calls.append((op, tuple(parents)))
+        position[out[0]] = len(calls)
+        calls.append((op, tuple(position[h] for h in parents)))
         return out
 
-    engine.apply = recording
+    return recording
+
+
+def record_applications(engine: EngineState) -> list:
+    """Record ``engine.apply`` as :func:`recording_positions` does; take
+    ``engine.view`` after this."""
+    calls = []
+    engine.apply = recording_positions(engine.apply, calls)
     return calls
 
 
 class TestEngine:
     def test_apply_counts_and_audits(self):
-        # the oracle's history records each application, and a handle is the
-        # position of its point there
+        # the oracle's history records each application in order, and each
+        # handle holds the word of its own query
         oracle = Oracle(OneMaxInstance(bs("1010")))
         e = EngineState(oracle, max_arity=2)
         h0, f0 = e.apply(UNIFORM_SAMPLE, (), np.random.default_rng(0))
-        assert h0 == 0 and oracle.query_count == 1
+        assert isinstance(h0, PointHandle) and oracle.query_count == 1
         h1, f1 = e.apply(COMPLEMENT, (h0,), np.random.default_rng(0))
-        assert h1 == 1 and oracle.query_count == 2
+        assert isinstance(h1, PointHandle) and h1 is not h0 and oracle.query_count == 2
         assert f0 + f1 == 4
         (x, fx), (xc, fxc) = oracle.history
         assert (fx, fxc) == (f0, f1)
+        assert (h0._word, h1._word) == (x.word, xc.word)
         assert (x.word ^ xc.word).bit_count() == 4
 
     def test_arity_enforcement(self):
@@ -98,16 +112,26 @@ class TestEngine:
         assert oracle.query_count == 2
 
     def test_invalid_handle(self):
+        # only this engine's own handles pass, and a rejection charges no
+        # query and draws nothing
         oracle = Oracle(OneMaxInstance(bs("1010")))
         e = EngineState(oracle, max_arity=None)
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="invalid point handle 0"):
             e.apply(COMPLEMENT, (0,), rng)
+        assert oracle.query_count == 0
         h0, _ = e.apply(UNIFORM_SAMPLE, (), rng)
-        for bad in (-1, h0 + 1):
-            with pytest.raises(ValueError, match="invalid point handle"):
+        other = Oracle(OneMaxInstance(bs("1010")))
+        foreign, _ = EngineState(other, max_arity=None).apply(UNIFORM_SAMPLE, (), rng)
+        state = rng.bit_generator.state
+        for bad in (0, -1, 1, True, foreign):
+            with pytest.raises(ValueError, match=re.escape(f"invalid point handle {bad!r}")):
                 e.apply(COMPLEMENT, (bad,), rng)
-        assert oracle.query_count == 1
+            assert oracle.query_count == 1
+        with pytest.raises(ValueError, match="invalid point handle"):
+            e.apply(FLIP_ONE_WHERE_DIFFERENT, (h0, foreign), rng)
+        assert oracle.query_count == 1 and other.query_count == 1
+        assert rng.bit_generator.state == state
 
     def test_parent_count_must_match_arity(self):
         oracle = Oracle(OneMaxInstance(bs("1010")))
@@ -143,17 +167,18 @@ class TestEngine:
         ]
         for want, (op, parents) in enumerate(steps, start=2):
             h, f = e.apply(op, parents, rng)
-            assert h == want == oracle.query_count - 1
-            assert oracle.history[h][1] == f
+            assert want == oracle.query_count - 1
+            assert oracle.history[want] == (BitString(4, h._word), f)
 
     def test_debug_point_resolves(self):
-        # a handle resolves to its point through the oracle's history
+        # a handle's point is the oracle's history entry of its query
         oracle = Oracle(OneMaxInstance(bs("0110")))
         e = EngineState(oracle, max_arity=None)
         rng = np.random.default_rng(4)
         h, _ = e.apply(UNIFORM_SAMPLE, (), rng)
         hc, _ = e.apply(COMPLEMENT, (h,), rng)
-        x, xc = oracle.history[h][0], oracle.history[hc][0]
+        (x, _), (xc, _) = oracle.history
+        assert (x.word, xc.word) == (h._word, hc._word)
         assert (x.word ^ xc.word).bit_count() == 4
 
     def test_view_hides_engine_internals(self):
@@ -305,19 +330,15 @@ class TestStopRule:
 
     @pytest.mark.parametrize("n", (1, 9, 30))
     def test_binary_onemax_on_monotone_ends_after_n_kept_flips(self, n, monkeypatch):
-        parents = []
-        apply = EngineState.apply
-
-        def recording(engine, op, ps, rng):
-            out = apply(engine, op, ps, rng)
-            parents.append(tuple(ps))
-            return out
-
-        monkeypatch.setattr(EngineState, "apply", recording)
         for seed in range(3):
-            parents.clear()
+            # (op, parent positions) per application; a fresh wrapper per run
+            calls = []
+            monkeypatch.setattr(EngineState, "apply",
+                                recording_positions(EngineState.apply, calls))
             oracle = make_oracle("monotone", n, seed)
             record = run_binary_onemax(n, oracle, split_rng(seed), seed=seed)
+            monkeypatch.undo()
+            parents = [ps for _, ps in calls]
             values = [f for _, f in oracle.history]
             assert record.success and record.queries == len(parents)
             pair, kept = [0, 1], 0
@@ -360,6 +381,8 @@ class TestBinaryOneMaxInvariant:
             y = history[hy][0].word
             agree = ~(x ^ y) & full
             assert x & agree == z.word & agree
+        # the optimal query was kept on one side
+        assert len(calls) - 1 in (hx, hy)
 
     def test_pair_distance_shrinks_by_one_per_acceptance(self):
         oracle = make_oracle("onemax", 16, seed=15)
@@ -382,6 +405,15 @@ class TestBinaryOneMaxInvariant:
                     accepted += 1
                 d = (history[hx][0].word ^ history[hy][0].word).bit_count()
                 assert d == 16 - accepted
+        # the optimal query was kept on one side
+        assert len(calls) - 1 in (hx, hy)
+
+
+def wrap_handle(engine: EngineState, word: int) -> PointHandle:
+    """A handle of ``engine`` for a word queried on its oracle directly."""
+    h = PointHandle()
+    h._word, h._engine = word, engine
+    return h
 
 
 class TestOptimizeSubset:
@@ -392,12 +424,15 @@ class TestOptimizeSubset:
         mask = sum(1 << p for p in block)
         base = int(rng.integers(1 << n))
         oracle = Oracle(inst)
-        # the anchors are the first two queries, so their handles are 0 and 1
+        # the anchors are queried on the oracle directly, then wrapped as
+        # handles of the engine
         f_abar = oracle.query(BitString(n, base ^ mask))
         f_a = oracle.query(BitString(n, base))
         engine = EngineState(oracle, None)
-        h, _ = _subset_policy(engine.view, rng, ell, 0, f_abar, 1, f_a)
-        out = oracle.history[h][0].word
+        h_abar, h_a = (wrap_handle(engine, w) for w in (base ^ mask, base))
+        h, _ = _subset_policy(engine.view, rng, ell, h_abar, f_abar, h_a, f_a)
+        out = h._word
+        assert out in {x.word for x, _ in oracle.history}
         # block bits match the hidden string; outside bits match the anchors
         assert out & mask == inst.z.word & mask
         assert out & ~mask == base & ~mask

@@ -332,3 +332,15 @@ class TestOutDirectory:
         err = capsys.readouterr().err
         assert f"configuration error: --out {out}: directory {out.parent} does not exist" in err
         assert not out.parent.exists()
+
+
+class TestOutOfMemory:
+    def test_memory_error_names_the_command(self, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        code = cli.main(["run", "--algorithm", "rls", "--class", "onemax", "--n", "4",
+                         "--trials", "2"])
+        assert code == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == "arityopt: error: run ran out of memory (MemoryError)\n"

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +196,35 @@ class TestRunExperiment:
         assert all(r.success for r in records)
         assert sum(r.queries for r in records) == total
         assert [r.queries for r in records[:5]] == first_five
+
+
+# Run in a child that caps its own address space at 1.5 GB; it prints the
+# trial's success and its peak RSS in kB.  The peak is VmHWM, which counts
+# from the child's exec: Linux carries ru_maxrss over from the parent's size
+# at fork, so under a large test process ru_maxrss reads that instead.
+BOUNDED_TRIAL = """
+import resource
+cap = 1_500_000_000
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from arityopt.harness import ExperimentConfig, run_experiment
+(record,) = run_experiment(ExperimentConfig("binary_onemax", "onemax", (65536,), trials=1))
+with open("/proc/self/status") as fh:
+    peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(record.success, peak_kb)
+"""
+
+
+class TestBoundedMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM (Linux)")
+    def test_binary_onemax_trial_memory_does_not_grow_with_its_queries(self):
+        # A run that kept every queried word would hold about n**2 / 4 bytes,
+        # 1 GB here; a harness trial keeps only the points its policy holds.
+        proc = subprocess.run([sys.executable, "-c", BOUNDED_TRIAL],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        success, peak_kb = proc.stdout.split()
+        assert success == "True"
+        assert int(peak_kb) < 200 * 1024
 
 
 def load_tracing():

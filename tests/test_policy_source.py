@@ -2,8 +2,9 @@
 
 A policy sees the instance only through its ``PolicyView``: it applies
 operators and reads n.  The view's bound method still reaches the engine
-(``view.apply.__self__._query.__self__._instance.z`` is the hidden z), so
-the policies' source is what keeps them honest.  Every ``policy_*`` function
+(``view.apply.__self__._query.__self__._instance.z`` is the hidden z), and
+a handle's slots hold its word and its engine, so the policies' source is
+what keeps them honest.  Every ``policy_*`` function
 in ``algorithms.py``, and every helper that takes a view, may use its view
 only as ``view.apply(...)`` or ``view.n``, or pass it on to another such
 function.  None of them reads an attribute whose name starts with ``_`` or
@@ -88,6 +89,7 @@ def test_policies_use_the_view_only_through_apply_and_n():
     ("t = round_count(view.n)", "t = round_count(getattr(view, 'n'))", "names getattr"),
     ("kept = 0\n", "kept = 0\n    engine = view\n", "uses its view other than"),
     ("n = view.n\n", "n = len(vars(view))\n", "names vars"),
+    ("if f2 >= fx:", "if h2._word >= fx:", "reads attribute _word"),
 ])
 def test_a_planted_violation_is_found(original, replacement, message):
     assert original in SOURCE

@@ -182,6 +182,15 @@ class TestOracle:
         o.query(bs("110"))
         assert o.history == [(bs("000"), 1), (bs("110"), 3)]
 
+    def test_history_off_counts_without_keeping_points(self):
+        o = Oracle(OneMaxInstance(bs("110")), budget=2, keep_history=False)
+        assert o.query(bs("000")) == 1 and o.query(bs("110")) == 3
+        assert o.query_count == 2
+        with pytest.raises(BudgetExhausted):
+            o.query(bs("111"))
+        with pytest.raises(RuntimeError, match="keep_history=False"):
+            o.history
+
     def test_budget_exhaustion(self):
         o = Oracle(OneMaxInstance(bs("1010")), budget=2)
         o.query(bs("0000"))
