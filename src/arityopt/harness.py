@@ -4,7 +4,9 @@ Each trial derives its seed as base_seed + run_id, feeds it through
 ``np.random.SeedSequence`` (a splitmix-style scrambler), and splits it into
 an instance stream and an algorithm stream.  Trials are therefore fully
 independent, which makes results identical for any worker count: parallel
-execution changes wall time, never output bytes.
+execution changes wall time, never output bytes.  The process pool is imported
+only for ``workers`` > 1.  It gets the largest n first, since a trial's cost
+rises with n, and its records are put back in run order.
 
 Runs whose budget was hit are counted as failures in success_rate and
 excluded from the query statistics, so one pathological run cannot skew a
@@ -25,7 +27,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -142,19 +143,28 @@ def _trial(args) -> RunRecord:
 
 
 def pool_size(workers: int, n_tasks: int) -> int:
-    """Worker processes to start: no more than asked, CPUs, or tasks.
+    """Worker processes to start: no more than asked, tasks, or CPUs this process may run on.
 
     A fork-started pool creates every worker at once, so a huge ``workers``
     would otherwise fork that many processes.
     """
-    return min(workers, os.cpu_count() or 1, n_tasks)
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1, n_tasks)
+
+
+def _pool_trial(args):
+    # A failure comes back as a value, so that the batch can raise the first in run order.
+    try:
+        return _trial(args)
+    except TrialFailed as exc:
+        return exc
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run trials x n_values seeded runs; deterministic for any worker count.
 
     A trial that raises is re-raised as ``TrialFailed``, naming its
-    algorithm, class, n and seed, at any worker count.
+    algorithm, class, n and seed, at any worker count: the first in run order.
     """
     validate_config(cfg)
     tasks = []
@@ -169,10 +179,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     if cfg.workers == 1:
         records = [_trial(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         workers = pool_size(cfg.workers, len(tasks))
-        chunk = max(1, len(tasks) // (4 * workers))
+        chunk = max(1, len(tasks) // (8 * workers))
+        largest_first = sorted(range(len(tasks)), key=lambda i: -tasks[i][2])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial, tasks, chunksize=chunk))
+            done = pool.map(_pool_trial, [tasks[i] for i in largest_first], chunksize=chunk)
+            records = [r for _, r in sorted(zip(largest_first, done), key=lambda p: p[0])]
+        if failed := [r for r in records if isinstance(r, TrialFailed)]:
+            raise failed[0]
     return sorted(records, key=lambda r: r.n)
 
 

@@ -102,17 +102,21 @@ class TestRun:
         assert proc.returncode == 1
 
     def test_workers_reproducibility(self, tmp_path):
-        paths = []
-        for name, workers in (("a.csv", "1"), ("b.csv", "2")):
-            path = str(tmp_path / name)
+        # an unsorted --n list: a pool hands out the largest n first, and
+        # the records must still come back in run order
+        outputs = []
+        for workers in ("1", "2", "3"):
+            path = tmp_path / f"w{workers}.csv"
             proc = run_cli(
                 "run", "--algorithm", "kary_onemax", "--class", "onemax",
-                "--n", "20", "--k", "4", "--trials", "6", "--seed", "5",
-                "--workers", workers, "--out", path,
+                "--n", "20", "--n", "12", "--n", "16", "--k", "4", "--trials", "6",
+                "--seed", "5", "--workers", workers, "--out", str(path),
             )
             assert proc.returncode == 0, proc.stderr
-            paths.append(path)
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+            stem = tmp_path / f"w{workers}"
+            outputs.append([p.read_bytes() for p in (
+                path, stem.with_suffix(".summary.csv"), stem.with_suffix(".report.json"))])
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_bad_combination_exits_1(self):
         proc = run_cli(

@@ -6,6 +6,7 @@ import csv
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -148,6 +149,22 @@ class TestRunExperiment:
         assert pool_size(1, 100) == 1
         assert pool_size(2, 1) == 1
 
+    def test_pool_size_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # under taskset or a container cpuset, cpu_count overstates the CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert pool_size(4, 100) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_largest_n_first_gives_the_run_order_records(self, workers):
+        # 60 tasks, several per chunk, and n unsorted: the pool runs them in
+        # neither run order nor the order of the output
+        want = run_experiment(cfg(n_values=(20, 12, 16), trials=20, base_seed=7))
+        # sorted by n, ties in run order: n = 20 took seeds 7 to 26
+        assert [r.seed for r in want] == [*range(27, 67), *range(7, 27)]
+        got = run_experiment(cfg(n_values=(20, 12, 16), trials=20, base_seed=7, workers=workers))
+        assert got == want
+
     def test_failed_trial_is_named(self, monkeypatch):
         # workers=1: the trial runs in this process and no pool is opened
         real = harness.run_rls_baseline
@@ -167,6 +184,27 @@ class TestRunExperiment:
         # a pool sends the exception back pickled
         copy = pickle.loads(pickle.dumps(info.value))
         assert type(copy) is TrialFailed and str(copy) == message
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the patched runner only when forked")
+    def test_first_failure_in_run_order_is_named_at_any_worker_count(self, monkeypatch):
+        # n = 6 takes seeds 10 to 13 and n = 10 seeds 14 to 17; the pool runs
+        # n = 10 first, so seed 15 fails there before seed 12 does
+        real = harness.run_rls_baseline
+
+        def fail_on_seeds_12_and_15(n, oracle, rng, seed):
+            if seed in (12, 15):
+                raise ZeroDivisionError(f"injected at {seed}")
+            return real(n, oracle, rng, seed=seed)
+
+        monkeypatch.setattr(harness, "run_rls_baseline", fail_on_seeds_12_and_15)
+        message = "trial rls on leadingones n=6 seed=12 failed: ZeroDivisionError: injected at 12"
+        for workers in (1, 2):
+            c = cfg(algorithm="rls", class_name="leadingones", n_values=(6, 10), trials=4,
+                    base_seed=10, workers=workers)
+            with pytest.raises(TrialFailed) as info:
+                run_experiment(c)
+            assert str(info.value) == message
 
     def test_deterministic_across_calls(self):
         c = cfg(algorithm="rls", class_name="leadingones", n_values=(10,), trials=5)

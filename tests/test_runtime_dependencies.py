@@ -29,6 +29,23 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported by the first batch with workers > 1, which still
+    # gives the workers=1 records
+    proc = run_python(
+        "import arityopt.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+        "          or m.startswith('concurrent.futures')]\n"
+        "assert not loaded, loaded\n"
+        "from arityopt.harness import ExperimentConfig, run_experiment\n"
+        "c = dict(algorithm='rls', class_name='leadingones', n_values=(12, 8), trials=6)\n"
+        "one = run_experiment(ExperimentConfig(**c))\n"
+        "assert run_experiment(ExperimentConfig(**c, workers=2)) == one\n"
+        "assert 'concurrent.futures' in sys.modules\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_commands_run_with_scipy_unimportable():
     # a None entry makes every import of scipy raise ImportError, a lazy one
     # inside a function included; n = 20 takes the statistical certifier
