@@ -79,7 +79,7 @@ class Permutation:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
-        return cls(tuple(int(j) for j in rng.permutation(n)))
+        return cls(tuple(rng.permutation(n).tolist()))
 
     @property
     def size(self) -> int:

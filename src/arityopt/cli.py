@@ -115,9 +115,10 @@ def _g9(v: float) -> str:
 
 def _instances_payload(records) -> list[dict]:
     out = []
-    for i, r in enumerate(records):
+    base = min((r.seed for r in records), default=0)  # as write_runs_csv
+    for r in records:
         inst, _ = seed_trial(r.class_name, r.n, r.seed)
-        entry = {"run_id": i, "class": r.class_name, "n": r.n, "seed": r.seed,
+        entry = {"run_id": r.seed - base, "class": r.class_name, "n": r.n, "seed": r.seed,
                  "z": inst.z.to_string()}
         if r.class_name == "leadingones":
             entry["sigma"] = [m + 1 for m in inst.sigma.mapping]

@@ -16,17 +16,16 @@ half must supply.  Below dimension 12 the low half is empty and the join is
 a single filter pass over all words.  Enumeration is bounded at dimension 24;
 beyond that the operations fail loudly instead of degrading.
 
-``consistent_words`` remembers its results for the last two distinct argument
-sets and returns them read-only.  Only statistical certification trials hit
-the memo: each alternates between an input set and its transformed image on
-every sample, where an exact trial builds each pmf once.
+``consistent_words`` enumerates on every call and returns a read-only array.
+Its memo lives in the chooseConsistent kernels in ``operators``, keyed by
+their own arguments, where the repeats are: a statistical certification
+trial alternates between an input set and its image on every sample, and
+one chooseConsistentSub key covers the block projection and enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .bitcore import BitString, differing_positions  # noqa: F401  (per-layer tracing wraps it here)
@@ -108,20 +107,14 @@ def consistent_words(dim: int, point_words, values) -> np.ndarray:
     small dim costs less than the join's fixed overhead.  The array is the
     same for any split.
 
-    The array is read-only and shared: a call whose (dim, words, values)
-    equal one of the last two distinct calls' returns that call's array
-    without enumerating.  Every value must lie in 0..dim and every point in
-    0..2**dim - 1; invalid arguments raise ``ValueError`` on every call.
+    The array is read-only, so that the chooseConsistent kernels in
+    ``operators`` may memoise it; this function enumerates on every call.
+    Every value must lie in 0..dim and every point in 0..2**dim - 1, or
+    ``ValueError``.
     """
     _require_enumerable(dim)
     if len(point_words) != len(values):
         raise ValueError(f"{len(point_words)} points vs {len(values)} values")
-    return _join(dim, tuple(point_words), tuple(values))
-
-
-@lru_cache(maxsize=2)
-def _join(dim: int, point_words: tuple, values: tuple) -> np.ndarray:
-    """The enumeration behind ``consistent_words``, memoised by its arguments."""
     for w, u in zip(point_words, values):
         if not (0 <= w < 1 << dim and 0 <= u <= dim):
             raise ValueError(f"need points below 2**{dim} and values in 0..{dim}, got point {w} with value {u}")
@@ -175,12 +168,14 @@ def consistent_set(q: ConsistencyQuery) -> set[BitString]:
 def embed_word(small, positions, base: int):
     """Write bit j of ``small`` into ``base`` at ``positions[j]``, for each j.
 
-    ``small`` is an int, or an integer array embedded elementwise into int64.
+    ``small`` is an int, or an integer array embedded elementwise into int64
+    by one product of its bit matrix with the positions' powers of two.
     """
-    out = base
     if isinstance(small, np.ndarray):
-        small = small.astype(np.int64)
-        out = np.full(small.shape, base, dtype=np.int64)
+        cleared = base & ~sum(1 << p for p in positions)
+        bits = (small.astype(np.int64)[..., None] >> np.arange(len(positions))) & 1
+        return cleared | bits @ (1 << np.array(positions, dtype=np.int64))
+    out = base
     for j, p in enumerate(positions):
         out = (out & ~(1 << p)) | (((small >> j) & 1) << p)
     return out

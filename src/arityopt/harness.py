@@ -310,7 +310,8 @@ def write_json(data, path: str) -> str:
 
 
 def write_runs_csv(records: list[RunRecord], path: str) -> None:
-    _write(path, _csv_text(RUNS_HEADER, ((i, *astuple(r)) for i, r in enumerate(records))))
+    base = min((r.seed for r in records), default=0)  # run 0's: run_id = seed - base_seed
+    _write(path, _csv_text(RUNS_HEADER, ((r.seed - base, *astuple(r)) for r in records)))
 
 
 def summary_csv_text(rows: list[SummaryRow]) -> str:

@@ -22,6 +22,8 @@ once and stores the arity it gives.
 chooseConsistent draws a uniform index into the ascending ``consistent_words``
 survivors, or a uniform word if there are none; chooseConsistentSub makes
 that draw on its anchors' block, between ``block_projection`` and ``embed_word``.
+Both memoise all before the draw by their own arguments (``_survivors``): they
+alone see the repeats, as a statistical trial alternates two input sets.
 
 Bounded draws go through ``_below``, which replays numpy's ``rng.integers(m)``
 (Lemire's multiply-shift rejection) on the bit generator's C interface, and
@@ -33,6 +35,7 @@ Differential tests pin both to numpy, and CI runs them on numpy 2.0 too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import fsum
 
 import numpy as np
@@ -165,16 +168,27 @@ def _k_flip_one_uniform(words, n, params, rng):
     return words[0] ^ (1 << _below(n, rng))
 
 
+@lru_cache(maxsize=2)
+def _survivors(n: int, words: tuple, params: tuple, family: str):
+    """chooseConsistent's ``consistent_words`` survivors, or chooseConsistentSub's
+    block, ``outside`` and block survivors; the memo of both kernels."""
+    if family == "chooseConsistent":
+        return consistent_words(n, words, params)
+    block, outside, projected = block_projection(n, words[:-2], params, words[-2], words[-1])
+    return block, outside, consistent_words(len(block), projected, params)
+
+
+def _draw(survivors: np.ndarray, n: int, rng) -> int:
+    return int(survivors[_below(survivors.size, rng)]) if survivors.size else random_word(n, rng)
+
+
 def _k_choose_consistent(words, n, params, rng):
-    survivors = consistent_words(n, words, params)
-    if survivors.size == 0:
-        return random_word(n, rng)
-    return int(survivors[_below(survivors.size, rng)])
+    return _draw(_survivors(n, tuple(words), params, "chooseConsistent"), n, rng)
 
 
 def _k_choose_consistent_sub(words, n, params, rng):
-    block, outside, projected = block_projection(n, words[:-2], params, words[-2], words[-1])
-    return embed_word(_k_choose_consistent(projected, len(block), params, rng), block, outside)
+    block, outside, survivors = _survivors(n, tuple(words), params, "chooseConsistentSub")
+    return embed_word(_draw(survivors, len(block), rng), block, outside)
 
 
 def _flip_k_arity(params) -> int:
@@ -225,7 +239,7 @@ class OperatorId:
             raise ValueError(f"{self.name} {'takes no params' if fixed else 'needs params'}")
         if not fixed:
             try:
-                object.__setattr__(self, "params", tuple(int(u) for u in self.params))
+                object.__setattr__(self, "params", tuple(map(int, self.params)))
             except TypeError:
                 raise ValueError(
                     f"{self.name} needs a sequence of int params, got {self.params!r}"

@@ -16,13 +16,14 @@ at every word w: ``arange(2**n)`` as a ``(2,)*n`` tensor, transposed.
 outputs give, so every deviation and report is theirs.
 
 A statistical trial draws its two samples interleaved, every draw through
-``operators.sample_operator``, and then maps and profiles them in one pass
-over an array of int64 words (of Python ints from n = 64 on): side 1 is
-pushed through the automorphism by ``permute_words``, and every sample
-becomes a row of Hamming distances counted by ``np.bitwise_count``, whose
-lexicographic rank is its cell.  The two sides' cell counts are compared by
-Pearson's chi-square test, computed with ``math.erfc``, ``math.exp`` and
-``math.lgamma``.
+``operators.sample_operator``, whose chooseConsistent kernels memoise their
+survivors (only they see the operator's definition), and then maps and
+profiles them in one pass over an array of int64 words (of Python ints from
+n = 64 on): side 1 is pushed through the automorphism by ``permute_words``,
+and every sample becomes a row of Hamming distances counted by
+``np.bitwise_count``, whose lexicographic rank is its cell.  The two sides'
+cell counts are compared by Pearson's chi-square test, computed with
+``math.erfc``, ``math.exp`` and ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _control_sample(inputs, n, rng):
 def _word_table(sigma: Permutation) -> np.ndarray:
     """sigma(w) at index w: arange(2**n) as the (2,)*n tensor whose axis k is
     bit n-1-k, transposed by the inverse of sigma."""
-    n, inverse = sigma.size, np.argsort(sigma.mapping)
+    n, inverse = sigma.size, dict(zip(sigma.mapping, range(sigma.size)))
     axes = [n - 1 - inverse[n - 1 - k] for k in range(n)]
     return np.arange(1 << n).reshape((2,) * n).transpose(axes).reshape(-1)
 
@@ -104,7 +105,7 @@ def _word_table(sigma: Permutation) -> np.ndarray:
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:
     """max |p - q| over the union of two ascending supports, each uniform:
     1/size on a word only one of them holds, |pa - pb| on a shared word."""
-    if np.array_equal(a, b):
+    if a.size == b.size and (a == b).all():
         return 0.0
     pa, pb = 1.0 / a.size, 1.0 / b.size
     common = np.intersect1d(a, b, assume_unique=True).size
@@ -127,9 +128,12 @@ def check_invariance(op, words: list[int], z: int, sigma: Permutation) -> tuple[
     if z < 0 or z >> n:
         raise ValueError(f"word {z:#x} does not fit in {n} bits")
     s = _support(op, words, n)
-    dev_x = _deviation(np.sort(s ^ z), _support(op, [w ^ z for w in words], n))
+    shifted, mapped = s ^ z, _word_table(sigma)[s]
+    shifted.sort()
+    mapped.sort()
+    dev_x = _deviation(shifted, _support(op, [w ^ z for w in words], n))
     permuted = [apply_permutation(sigma, w) for w in words]
-    dev_p = _deviation(np.sort(_word_table(sigma)[s]), _support(op, permuted, n))
+    dev_p = _deviation(mapped, _support(op, permuted, n))
     dev = max(dev_x, dev_p)
     return dev <= EXACT_TOLERANCE, dev
 

@@ -122,6 +122,15 @@ class TestPermutation:
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > 1e-3
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    def test_random_is_rng_permutation(self, n):
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(20):
+            mapping = Permutation.random(n, ours).mapping
+            assert mapping == tuple(int(j) for j in theirs.permutation(n))
+            assert all(type(j) is int for j in mapping)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
 
 class TestWordHelpers:
     def test_unpack_pack_round_trip(self):

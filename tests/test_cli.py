@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from arityopt import cli
 from arityopt.bitcore import BitString
 from arityopt.consistency import ENUMERATION_DIM_LIMIT
-from arityopt.harness import RUNS_HEADER, SUMMARY_HEADER, seed_trial
+from arityopt.harness import RUNS_HEADER, SUMMARY_HEADER, ExperimentConfig, run_experiment, seed_trial
 from arityopt.problems import MonotoneInstance
 
 
@@ -93,6 +94,26 @@ class TestRun:
         for entry in payload:
             rebuilt = MonotoneInstance(BitString.from_string(entry["z"]), tuple(entry["weights"]))
             assert rebuilt == seed_trial("monotone", entry["n"], entry["seed"])[0]
+
+    @pytest.mark.parametrize("ns, run_ids", [(("12", "8"), [2, 3, 0, 1]), (("8", "12"), [0, 1, 2, 3])])
+    def test_run_id_is_seed_less_base_seed(self, tmp_path, ns, run_ids):
+        # rows stay sorted by n, so for an unsorted --n list run_id is not
+        # the row index; README: each trial's seed is base_seed + run_id
+        path = str(tmp_path / "runs.csv")
+        proc = run_cli(
+            "run", "--algorithm", "rls", "--class", "onemax", "--n", ns[0], "--n", ns[1],
+            "--trials", "2", "--seed", "100", "--out", path, "--debug-instances",
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["run_id"]) for r in rows] == run_ids
+        assert all(int(r["seed"]) == 100 + int(r["run_id"]) for r in rows)
+        records = run_experiment(ExperimentConfig("rls", "onemax", tuple(map(int, ns)), 2, 100))
+        assert [(int(r["n"]), int(r["seed"]), int(r["queries"])) for r in rows] == [
+            (r.n, r.seed, r.queries) for r in records]
+        payload = json.load(open(path[:-4] + ".instances.json"))
+        assert [(e["run_id"], e["seed"]) for e in payload] == [(i, 100 + i) for i in run_ids]
 
     def test_debug_instances_requires_out(self):
         proc = run_cli(

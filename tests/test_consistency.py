@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arityopt import consistency
+from arityopt import consistency, operators
 from arityopt.bitcore import BitString
 from arityopt.consistency import (
     ENUMERATION_DIM_LIMIT,
@@ -94,8 +94,27 @@ def brute_force_words(dim, pts, vals) -> list[int]:
     ]
 
 
+def sub_history(dim, pts):
+    """``pts`` as a chooseConsistentSub history on the block 1..dim of a
+    (dim + 2)-bit word, with its two anchors appended: (n, words)."""
+    block = tuple(range(1, dim + 1))
+    lo = 1 << (dim + 1)
+    return dim + 2, [embed_word(p, block, lo) for p in pts] + [lo, lo | sum(1 << p for p in block)]
+
+
 class TestConsistentWordsMemo:
-    """consistent_words keeps its last two distinct results, read-only."""
+    """The chooseConsistent kernels keep the survivors of their last two
+    distinct argument sets (``operators._survivors``), read-only."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        operators._survivors.cache_clear()
+
+    @staticmethod
+    def count_enumerations(monkeypatch) -> list:
+        calls, real = [], operators.consistent_words
+        monkeypatch.setattr(operators, "consistent_words", lambda *a: calls.append(a) or real(*a))
+        return calls
 
     @pytest.mark.parametrize("dim, pts, vals", [
         (6, [5], [3]),      # one filter pass
@@ -104,38 +123,72 @@ class TestConsistentWordsMemo:
     ])
     def test_returned_array_is_read_only(self, dim, pts, vals):
         words = consistent_words(dim, pts, vals)
-        with pytest.raises(ValueError):
-            words[...] = 0
-        with pytest.raises(ValueError):
-            words.sort()
+        n, sub_words = sub_history(dim, pts)
+        block, outside, sub = operators._survivors(n, tuple(sub_words), tuple(vals), "chooseConsistentSub")
+        assert (block, outside) == (tuple(range(1, dim + 1)), 1 << (dim + 1))
+        for memo in (words, operators._survivors(dim, tuple(pts), tuple(vals), "chooseConsistent"), sub):
+            with pytest.raises(ValueError):
+                memo[...] = 0
+            with pytest.raises(ValueError):
+                memo.sort()
+            assert memo.tolist() == brute_force_words(dim, pts, vals)
         assert consistent_words(dim, pts, vals).tolist() == brute_force_words(dim, pts, vals)
 
-    def test_repeat_call_with_any_sequence_type(self):
-        dim, pts, vals = 14, [3, 4000, 777], [7, 6, 9]
-        first = consistent_words(dim, pts, vals)
-        for args in (
-            (pts, vals),
-            (tuple(pts), tuple(vals)),
-            (np.array(pts, dtype=np.uint32), np.array(vals, dtype=np.int64)),
-            ([np.int64(p) for p in pts], [np.uint8(v) for v in vals]),
-        ):
-            again = consistent_words(dim, *args)
-            assert again is first
-            np.testing.assert_array_equal(again, brute_force_words(dim, pts, vals))
+    @pytest.mark.parametrize("vals", [[7, 6, 9], [8, 4, 8]])  # empty, then 165 words
+    def test_repeat_call_with_any_sequence_type(self, monkeypatch, vals):
+        dim, pts = 14, [3, 4000, 777]
+        calls = self.count_enumerations(monkeypatch)
+        rng = np.random.default_rng(0)
+        n, sub_words = sub_history(dim, pts)
+        anchors = sub_words[-2:]
+        for family, m, hist, extra in (("chooseConsistent", dim, pts, []),
+                                       ("chooseConsistentSub", n, sub_words[:-2], anchors)):
+            make = choose_consistent_id if family == "chooseConsistent" else choose_consistent_sub_id
+            first = None
+            for words, values in (
+                (hist, vals),
+                (tuple(hist), tuple(vals)),
+                (np.array(hist, dtype=np.uint32), np.array(vals, dtype=np.int64)),
+                ([np.int64(p) for p in hist], [np.uint8(v) for v in vals]),
+            ):
+                words = list(words) + extra
+                op = make(values)
+                sample_operator(op, words, m, rng)
+                again = operators._survivors(m, tuple(words), op.params, family)
+                first = first if first is not None else again
+                assert again is first
+                survivors = again if family == "chooseConsistent" else again[2]
+                np.testing.assert_array_equal(survivors, brute_force_words(dim, pts, vals))
+        # one enumeration per family, for all four sequence types
+        assert len(calls) == 2
 
     def test_invalid_input_raises_on_every_call(self):
+        rng = np.random.default_rng(1)
+        # block 1..2 of a 4-bit word; the bad history point is off at bit 3
+        good, bad = [0b0010, 0b0000, 0b0110], [0b1010, 0b0000, 0b0110]
         for _ in range(3):
             with pytest.raises(ExactEnumerationUnavailable):
                 consistent_words(ENUMERATION_DIM_LIMIT + 1, [], [])
+            with pytest.raises(ExactEnumerationUnavailable):
+                sample_operator(choose_consistent_id([]), [], ENUMERATION_DIM_LIMIT + 1, rng)
             with pytest.raises(ValueError, match="2 points vs 1 values"):
                 consistent_words(8, [1, 2], [3])
             consistent_words(8, [1], [3])
+            sample_operator(choose_consistent_id([3]), [1], 8, rng)
+            with pytest.raises(ValueError, match="got point 256 with value 3"):
+                sample_operator(choose_consistent_id([3]), [256], 8, rng)
+            sample_operator(choose_consistent_sub_id([1]), good, 4, rng)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="disagrees with the anchors"):
+                sample_operator(choose_consistent_sub_id([1]), bad, 4, rng)
+            assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("dim", [7, 13])
-    def test_matches_fresh_enumeration_after_a_third_key(self, dim):
+    def test_matches_fresh_enumeration_after_a_third_key(self, monkeypatch, dim):
         # Keys 0 and 1 share their points and differ in values; key 2 is
         # key 0's points and values one dimension up.
         rng = np.random.default_rng(dim)
+        calls = self.count_enumerations(monkeypatch)
         for _ in range(20):
             pts = [int(w) for w in rng.integers(1 << dim, size=int(rng.integers(1, 4)))]
             keys = []
@@ -144,10 +197,20 @@ class TestConsistentWordsMemo:
                 keys.append((dim, pts, [dim - (z ^ p).bit_count() for p in pts]))
             keys.append((dim + 1,) + keys[0][1:])
             want = [brute_force_words(*key) for key in keys]
+            operators._survivors.cache_clear()
+            calls.clear()
+            recent, misses = [], 0  # the memo's keys, least recent first
             for i in [0, 1, 0, 1, 2, 0, 2, 1, 1, 2]:
-                got = consistent_words(*keys[i])
+                d, p, v = keys[i]
+                assert sample_operator(choose_consistent_id(v), p, d, rng) in want[i]
+                got = operators._survivors(d, tuple(p), tuple(v), "chooseConsistent")
                 assert got.tolist() == want[i]
                 assert not got.flags.writeable
+                key = (d, tuple(p), tuple(v))
+                misses += key not in recent
+                recent = [k for k in recent if k != key][-1:] + [key]
+            # an enumeration on a miss only; keys 0 and 1 may coincide
+            assert len(calls) == misses
 
 
 class TestConsistentWordsInputs:
@@ -253,6 +316,18 @@ class TestProjectEmbed:
         small = np.arange(8, dtype=np.uint32)
         words = embed_word(small, positions, base)
         assert words.tolist() == [embed_word(int(s), positions, base) for s in small]
+
+    @pytest.mark.parametrize("positions", [(), (0,), (1, 3, 4), (5, 30, 62), tuple(range(47, 63))])
+    def test_array_path_equals_int_path(self, positions):
+        # bases with every block bit set, none set, and at random; smalls
+        # wider than the block, whose extra bits both paths ignore
+        rng = np.random.default_rng(len(positions))
+        mask = sum(1 << p for p in positions)
+        small = rng.integers(0, 1 << 20, size=50).astype(np.uint32)
+        for base in (mask, 0, (1 << 63) - 1, int(rng.integers(1 << 62))):
+            words = embed_word(small, positions, base)
+            assert words.dtype == np.int64 and words.shape == small.shape
+            assert words.tolist() == [embed_word(int(s), positions, base) for s in small]
 
 
 class TestChooseConsistentSub:

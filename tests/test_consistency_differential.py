@@ -16,7 +16,9 @@ The chooseConsistent and chooseConsistentSub kernels in ``operators`` draw
 what ``choose_consistent_word`` and ``choose_consistent_sub_word``, the
 samplers ``consistency`` used to define, drew.  Those two are kept here
 verbatim as the oracle: ``sample_operator`` must return the same word, raise
-the same error and leave the generator in the same state.
+the same error and leave the generator in the same state.  They memoise
+their survivors by their own arguments, so a draw on a remembered key must
+equal the same draw after the memo is cleared, word and generator state.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from arityopt.consistency import (
     embed_word,
 )
 from arityopt.operators import choose_consistent_id, choose_consistent_sub_id, sample_operator
+from arityopt.unbiasedness import _trial_case
 
 
 def project_word(word: int, positions) -> int:
@@ -332,3 +335,27 @@ def test_choose_consistent_sub_kernel_past_64_bits(block):
         assert word & ~mask == anchor_lo
         # agreement 0 and len(block) with one point: the set is empty
         sub_draw((n, points[:1] * 2, [0, len(block)], anchor_lo, anchor_lo | mask), seed)
+
+
+@pytest.mark.parametrize("family", ["chooseConsistent", "chooseConsistentSub"])
+@pytest.mark.parametrize("n", [6, 12])
+def test_memo_hit_draws_as_a_fresh_enumeration(family, n):
+    # The kernels memoise their survivors (operators._survivors): a call on a
+    # remembered key must draw the word, and leave the full generator state,
+    # of the same call after cache_clear().  The certifier's own cases, half
+    # of them with values no string realises, so empty sets are drawn too.
+    cases = np.random.default_rng([n, len(family)])
+    for seed in range(40):
+        op, words = _trial_case(family, n, cases)
+        operators._survivors.cache_clear()
+        sample_operator(op, words, n, np.random.default_rng(10**6 + seed))
+        hit_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            hits = operators._survivors.cache_info().hits
+            hit = sample_operator(op, words, n, hit_rng)
+            assert operators._survivors.cache_info().hits == hits + 1
+            operators._survivors.cache_clear()
+            fresh = sample_operator(op, words, n, fresh_rng)
+            assert operators._survivors.cache_info().misses == 1
+            assert hit == fresh
+            assert hit_rng.bit_generator.state == fresh_rng.bit_generator.state
