@@ -1,7 +1,7 @@
 """Run the pair descent on hidden monotone functions without reading values.
 
 A monotone instance rewards agreement with its hidden string through
-arbitrary positive weights, so fitness values carry no positional
+hidden positive integer weights, so fitness values carry no positional
 information.  The descent still works: it accepts strict improvements and
 knows it is done after exactly n accepted flips, because each acceptance
 shrinks the pair's disagreement by one.  No fitness value is ever inspected
@@ -28,7 +28,7 @@ def main() -> None:
 
     oracle = Oracle(random_instance("monotone", n, 9000))
     w = oracle.debug_instance.weights
-    print(f"weights are arbitrary positives, e.g. {w[0]:.3f}, {w[1]:.3f}, ...")
+    print(f"weights are hidden positive ints, e.g. {w[0]}, {w[1]}, {w[2]}, ...")
     print(f"{trials} runs at n={n}: mean {counts.mean():.1f} queries"
           f" (2n = {2 * n}), all succeeded")
     print("the stop needs no plateau detection, just counting n acceptances")

@@ -5,9 +5,9 @@ Three function families over {0,1}^n, each defined by concealed data:
 * ``OneMaxInstance`` counts agreements with a hidden string z.
 * ``LeadingOnesInstance`` counts the longest prefix, in a hidden position
   order sigma, on which the input agrees with z.
-* ``MonotoneInstance`` sums hidden positive weights over the positions that
-  agree with z, so any strict growth of the agreement set strictly increases
-  the value.
+* ``MonotoneInstance`` sums hidden positive integer weights over the
+  positions that agree with z, so any strict growth of the agreement set
+  strictly increases the value, exactly.
 
 The :class:`Oracle` is the only channel between search policies and an
 instance: it counts every evaluation, enforces an optional query budget, and,
@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bitcore import BitString, Permutation, random_word, word_unpack
+from .bitcore import BitString, Permutation, random_word
 
 __all__ = [
     "BudgetExhausted",
@@ -107,27 +107,36 @@ class LeadingOnesInstance(_HiddenInstance):
 
 @dataclass(frozen=True)
 class MonotoneInstance(_HiddenInstance):
-    """f(x) = sum of hidden positive weights over positions agreeing with z."""
+    """f(x) = sum of hidden positive weights over positions agreeing with z.
 
-    weights: tuple[float, ...]
+    The weights are ints in 1..2**64 - 1, so every sum is exact.  The value is
+    the total weight less, for each weight bit b, 2**b times the number of
+    disagreeing positions whose weight has bit b set: one int slice per bit.
+    """
+
+    weights: tuple[int, ...]
 
     kind = "monotone"
 
     def __post_init__(self) -> None:
         if len(self.weights) != self.z.n:
             raise ValueError(f"size mismatch: {len(self.weights)} weights vs z {self.z.n}")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
+        for i, w in enumerate(self.weights):
+            if type(w) is not int or not 0 < w < 1 << 64:
+                raise ValueError(f"weights must be ints in 1..2**64 - 1, got {w!r} at position {i}")
         super().__post_init__()
+        w = np.array(self.weights, dtype=np.uint64)
+        slices = ((b, int.from_bytes(np.packbits((w >> b) & 1, bitorder="little"), "little"))
+                  for b in range(max(self.weights).bit_length()))
+        object.__setattr__(self, "_total", sum(self.weights))
+        object.__setattr__(self, "_slices", tuple((b, s) for b, s in slices if s))
 
-    @cached_property
-    def _w(self) -> np.ndarray:
-        return np.array(self.weights, dtype=np.float64)
-
-    def evaluate_word(self, word: int) -> float:
-        n = self._n
-        agree = ~(word ^ self._zword) & ((1 << n) - 1)
-        return float(self._w.compress(word_unpack(agree, n)).sum())
+    def evaluate_word(self, word: int) -> int:
+        d = word ^ self._zword
+        value = self._total
+        for b, s in self._slices:
+            value -= (d & s).bit_count() << b
+        return value
 
 
 class Oracle:
@@ -157,7 +166,7 @@ class Oracle:
         return self._instance.n
 
     @property
-    def history(self) -> list[tuple[BitString, float]]:
+    def history(self) -> list[tuple[BitString, int]]:
         """Queried points with their values, in query order (a fresh copy)."""
         if self._history is None:
             raise RuntimeError("this oracle keeps no history: it was made with keep_history=False")
@@ -190,7 +199,9 @@ def random_instance(class_name: str, n: int, seed):
 
     ``seed`` may be anything ``np.random.default_rng`` accepts.  z is uniform
     over {0,1}^n; LeadingOnes additionally draws sigma uniform over all
-    position orders; Monotone draws i.i.d. weights uniform on (0, 1].
+    position orders.  Monotone then draws i.i.d. weights uniform on 1..256: one
+    ``random_raw((n + 7) // 8)`` call, read little-endian, one byte per weight
+    plus 1.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -202,5 +213,5 @@ def random_instance(class_name: str, n: int, seed):
         return OneMaxInstance(z)
     if class_name == "leadingones":
         return LeadingOnesInstance(z, Permutation.random(n, rng))
-    weights = tuple(float(w) for w in 1.0 - rng.random(n))
-    return MonotoneInstance(z, weights)
+    raw = rng.bit_generator.random_raw((n + 7) // 8).astype("<u8").tobytes()
+    return MonotoneInstance(z, tuple(byte + 1 for byte in raw[:n]))

@@ -26,7 +26,7 @@ from arityopt.algorithms import (
     run_star_ary_onemax,
     subset_round_count,
 )
-from arityopt.bitcore import BitString
+from arityopt.bitcore import BitString, random_word
 from arityopt.bounds import round_count
 from arityopt.operators import (
     COMPLEMENT,
@@ -37,6 +37,7 @@ from arityopt.operators import (
 )
 from arityopt.problems import (
     BudgetExhausted,
+    MonotoneInstance,
     OneMaxInstance,
     Oracle,
     random_instance,
@@ -234,6 +235,21 @@ class TestRunners:
         record = run_binary_onemax(30, oracle, split_rng(2), seed=2)
         assert_success_record(record, oracle, "binary_onemax", "monotone", 30, 2)
         assert oracle.history[-1][0] == oracle.debug_instance.z
+
+    def test_binary_onemax_on_weights_spanning_1_to_2_52(self):
+        # weights 1 and 2**52 alternate: a float sum would lose the 1s, an
+        # exact one solves the instance in the usual ~2n queries
+        n = 64
+        weights = tuple(1 if i % 2 == 0 else 2**52 for i in range(n))
+        queries = []
+        for seed in range(10):
+            z = BitString(n, random_word(n, np.random.default_rng(seed)))
+            oracle = Oracle(MonotoneInstance(z, weights), budget=6 * n)
+            record = run_binary_onemax(n, oracle, split_rng(seed), seed=seed)
+            assert record.success and record.queries <= 6 * n
+            assert oracle.history[-1][0] == z
+            queries.append(record.queries)
+        assert 0.9 <= np.mean(queries) / (2 * n) <= 1.1
 
     def test_star_ary_onemax(self):
         oracle = make_oracle("onemax", 12, seed=3)

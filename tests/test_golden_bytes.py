@@ -34,7 +34,7 @@ RUN_DIGESTS = {
         "1937dce22cb28d836d9cb0727c7ddfdd37ccd991f13c0bba2d4abaf403d89233",
         "3224148578ac4bd7a84053ec54ada48f39790e2b5c2a32157d58a78d5cd15441",
         "2ac5fe309540ce685ac28f3b365ea69d645c7eeb3230735b1752c6b52aad86ab",
-        "05425119f5ebb260430e6f140b41dfef23c0c7e430fbd15ed3bcc7d2964f833a",
+        "6ec124f94f234c11163c2cd055d69e888e1dfb501e6158f6d7d57b88e5521aa3",
     ),
     ("star_ary_onemax", "onemax"): (
         "0ac58f80378f4dff5f49d4a119179a582501840d7fde96dbe066862f16a492c7",

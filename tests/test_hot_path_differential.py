@@ -2,14 +2,16 @@
 
 ``flipOneWhereDifferent`` picks its flipped bit with ``bitcore.nth_set_bit``,
 ``flipKWhereDifferent`` flips the set bits of ``x ^ y`` at the ranks it
-draws, each also found by ``nth_set_bit``, and monotone evaluation selects
-weights with ``ndarray.compress``.  Bounded draws (``operators._below``, in
-``flipOneWhereDifferent``, ``flipOneUniform`` and chooseConsistent's
-survivor index) replay numpy's own method for ``rng.integers(m)``, Lemire's
-multiply-shift rejection on ``next_uint32``, on the bit generator's C
-interface.  ``flipKWhereDifferent`` replays ``rng.choice(c, take,
-replace=False)`` on those draws up to ``_FLOYD_TAKE_LIMIT`` ranks: Floyd's
-draws, then the draws of numpy's shuffle.  ``bitcore.random_word`` joins raw
+draws, each also found by ``nth_set_bit``.  Monotone evaluation sums its
+integer weights by popcount over one int slice per weight bit; it is checked
+against an exact Python sum over the agreeing positions.  Bounded draws
+(``operators._below``, in ``flipOneWhereDifferent``, ``flipOneUniform`` and
+chooseConsistent's survivor index) replay numpy's own method for
+``rng.integers(m)``, Lemire's multiply-shift rejection on ``next_uint32``,
+on the bit generator's C interface.  ``flipKWhereDifferent`` replays
+``rng.choice(c, take, replace=False)`` on those draws up to
+``_FLOYD_TAKE_LIMIT`` ranks: Floyd's draws, then the draws of numpy's
+shuffle.  ``bitcore.random_word`` joins raw
 ``next_uint32`` outputs little-endian up to ``_WORD_DRAW_BITS`` bits, where
 numpy's ``rng.bytes`` draws the same ones.  Each must reproduce the earlier
 numpy code exactly: the same output word, the same generator state
@@ -81,11 +83,10 @@ def _k_flip_one_uniform(words, n, params, rng):
     return words[0] ^ (1 << p), p
 
 
-def monotone_reference(inst: MonotoneInstance, word: int) -> float:
+def monotone_reference(inst: MonotoneInstance, word: int) -> int:
     n = inst.n
-    w = np.array(inst.weights, dtype=np.float64)
     agree = ~(word ^ inst.z.word) & ((1 << n) - 1)
-    return float(w[word_unpack(agree, n)].sum())
+    return sum(w for w, bit in zip(inst.weights, word_unpack(agree, n)) if bit)
 
 
 lengths = st.one_of(st.integers(1, 300), st.sampled_from([4096, 16384]))
@@ -258,7 +259,7 @@ class TestMonotoneEvaluation:
     def test_matches_mask_indexing_exactly(self, data):
         n = data.draw(st.integers(1, 300))
         weights = data.draw(st.lists(
-            st.floats(min_value=1e-9, max_value=1e9), min_size=n, max_size=n))
+            st.integers(1, 2**52), min_size=n, max_size=n))
         z = data.draw(st.integers(0, (1 << n) - 1))
         inst = MonotoneInstance(BitString(n, z), tuple(weights))
         for word in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5)):
@@ -273,4 +274,4 @@ class TestMonotoneEvaluation:
             word = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
             assert inst.evaluate_word(word) == monotone_reference(inst, word)
         assert inst.evaluate_word(inst.z.word) == monotone_reference(inst, inst.z.word)
-        assert inst.evaluate_word(~inst.z.word & ((1 << n) - 1)) == 0.0
+        assert inst.evaluate_word(~inst.z.word & ((1 << n) - 1)) == 0

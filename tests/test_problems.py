@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from arityopt.bitcore import BitString, Permutation
+from arityopt.bitcore import BitString, Permutation, random_word
 from arityopt.problems import (
     BudgetExhausted,
     LeadingOnesInstance,
@@ -125,14 +125,34 @@ class TestLeadingOnes:
 
 class TestMonotone:
     def test_value_is_weight_sum_on_agreement(self):
-        inst = MonotoneInstance(bs("101"), (0.5, 0.25, 1.0))
-        assert inst.evaluate_word(bs("101").word) == pytest.approx(1.75)
-        assert inst.evaluate_word(bs("001").word) == pytest.approx(1.25)
-        assert inst.evaluate_word(bs("010").word) == pytest.approx(0.0)
+        inst = MonotoneInstance(bs("101"), (2, 1, 4))
+        assert inst.evaluate_word(bs("101").word) == 7
+        assert inst.evaluate_word(bs("001").word) == 5
+        assert inst.evaluate_word(bs("010").word) == 0
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            MonotoneInstance(bs("10"), (1.0, 0.0))
+            MonotoneInstance(bs("10"), (1, 0))
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, True, 0, -3, 2**64, 2**70, "2"])
+    def test_weights_must_be_ints_in_range(self, bad):
+        with pytest.raises(ValueError, match=r"weights must be ints in 1\.\.2\*\*64 - 1, "
+                                             r"got .* at position 1"):
+            MonotoneInstance(bs("101"), (1, bad, 1))
+
+    def test_weights_below_float_resolution_fail_at_construction(self):
+        # float weights like these once made binary_onemax spin to its budget:
+        # 1e-20 vanishes from any float sum that holds 1.0
+        with pytest.raises(ValueError, match="weights must be ints"):
+            MonotoneInstance(bs("10110100"), (1.0, 1e-20, 1e-20, 1e-20, 1e-20, 1e-20, 1e-20, 1e-20))
+
+    def test_extreme_weights_sum_exactly(self):
+        top = 2**64 - 1
+        inst = MonotoneInstance(bs("0110"), (top, 1, top, 2**52))
+        assert inst.evaluate_word(inst.z.word) == 2 * top + 1 + 2**52
+        assert inst.evaluate_word(bs("1110").word) == top + 1 + 2**52
+        assert inst.evaluate_word(bs("0111").word) == 2 * top + 1
+        assert inst.evaluate_word(bs("1001").word) == 0
 
     def test_strictly_monotone_in_agreement_set(self):
         # growing the set of z-agreeing positions strictly raises fitness
@@ -156,8 +176,8 @@ class TestMonotone:
             assert inst.evaluate_word(w2) > inst.evaluate_word(w)
 
     def test_optimum(self):
-        inst = MonotoneInstance(bs("110"), (0.3, 0.2, 0.9))
-        assert inst.evaluate_word(inst.z.word) == pytest.approx(0.3 + 0.2 + 0.9)
+        inst = MonotoneInstance(bs("110"), (3, 2, 9))
+        assert inst.evaluate_word(inst.z.word) == 3 + 2 + 9
 
 
 class TestOracle:
@@ -239,6 +259,22 @@ class TestRandomInstance:
         _, p_value = stats.chisquare(list(counts.values()))
         assert p_value > ALPHA
 
-    def test_monotone_weights_positive_in_unit_interval(self):
-        inst = random_instance("monotone", 50, 1)
-        assert all(0 < w <= 1 for w in inst.weights)
+    def test_monotone_weights_are_raw_bytes_plus_one(self):
+        # z first, on the same draws as a OneMax instance; then one
+        # random_raw((n + 7) // 8) call, each weight one byte plus 1,
+        # little-endian within each 64-bit output
+        for n in (1, 8, 50, 300):
+            inst = random_instance("monotone", n, 1)
+            assert inst.z == random_instance("onemax", n, 1).z
+            rng = np.random.default_rng(1)
+            random_word(n, rng)
+            raw = [int(v) for v in rng.bit_generator.random_raw((n + 7) // 8)]
+            assert inst.weights == tuple((raw[i // 8] >> (8 * (i % 8)) & 0xFF) + 1 for i in range(n))
+            assert all(type(w) is int and 1 <= w <= 256 for w in inst.weights)
+
+    def test_monotone_weights_uniform_on_1_to_256(self):
+        weights = random_instance("monotone", 256 * 40, 5).weights
+        counts = np.bincount(weights, minlength=257)
+        assert counts[0] == 0 and counts.sum() == 256 * 40
+        _, p_value = stats.chisquare(counts[1:])
+        assert p_value > ALPHA
