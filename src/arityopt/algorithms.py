@@ -194,7 +194,7 @@ def _pair_descent(view: PolicyView, rng, flips, hx, fx, hy, fy):
     kept.  Returns (hx, fx)."""
     kept = 0
     while kept < flips:
-        if rng.random() < 0.5:
+        if not rng.bit_generator.random_raw() >> 63:  # top bit 0: Generator.random() < 0.5
             h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (hx, hy), rng)
             if f2 > fx:
                 hx, fx = h2, f2

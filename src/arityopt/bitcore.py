@@ -24,8 +24,6 @@ __all__ = [
     "nth_set_bit",
 ]
 
-_WORD_DRAW_BITS = 256  # random_word's wider words cost less as one rng.bytes call (timeit)
-
 
 def _check_word(n: int, word: int) -> None:
     if n < 1:
@@ -117,10 +115,8 @@ def word_unpack(word: int, n: int) -> np.ndarray:
 
 
 def random_word(n: int, rng: np.random.Generator) -> int:
-    """Uniform n-bit word: ``rng.bytes((n + 7) // 8)`` read little-endian, whose
-    raw ``next_uint32`` draws it joins itself up to ``_WORD_DRAW_BITS`` bits."""
-    if n > _WORD_DRAW_BITS:
-        return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+    """Uniform n-bit word: raw ``next_uint32`` outputs joined little-endian at
+    every width, which is ``Generator.bytes((n + 7) // 8)`` read little-endian."""
     bits = rng.bit_generator.ctypes
     word = 0
     for shift in range(0, n, 32):

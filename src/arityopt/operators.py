@@ -26,10 +26,11 @@ Both memoise all before the draw by their own arguments (``_survivors``): they
 alone see the repeats, as a statistical trial alternates two input sets.
 
 Bounded draws go through ``_below``, which replays numpy's ``rng.integers(m)``
-(Lemire's multiply-shift rejection) on the bit generator's C interface, and
-so does flipK's ``rng.choice(c, take, replace=False)`` up to
-``_FLOYD_TAKE_LIMIT`` ranks, where numpy runs Floyd's algorithm at any c.
-Differential tests pin both to numpy, and CI runs them on numpy 2.0 too.
+(Lemire's multiply-shift rejection) on the bit generator's C interface.
+flipK makes numpy's Floyd draws, then its shuffle's, on ``_below`` at every
+take: ``Generator.choice(c, take, replace=False)`` wherever numpy runs Floyd's
+algorithm (c <= 10,000, or take <= c // 50).  Differential tests pin both to
+numpy, and CI runs them on numpy 2.0 too.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
 ]
 
 EXACT_PMF_LIMIT = 16
-_FLOYD_TAKE_LIMIT = 5  # larger flipK takes cost less as one rng.choice call (timeit)
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,12 @@ def _k_flip_k(words, n, params, rng):
     d = x ^ y
     c = d.bit_count()
     take = min(params[0], c)
-    if take > _FLOYD_TAKE_LIMIT:
-        ranks = rng.choice(c, size=take, replace=False).tolist()
-    else:  # numpy's Floyd draws, then its shuffle's, whose order xor ignores
-        ranks = set()
-        for j in range(c - take, c):
-            v = _below(j + 1, rng)
-            ranks.add(j if v in ranks else v)
-        for i in range(take - 1, 0, -1):
-            _below(i + 1, rng)
+    ranks = set()  # numpy's Floyd draws, then its shuffle's, whose order xor ignores
+    for j in range(c - take, c):
+        v = _below(j + 1, rng)
+        ranks.add(j if v in ranks else v)
+    for i in range(take - 1, 0, -1):
+        _below(i + 1, rng)
     out = y
     for r in ranks:
         out ^= 1 << nth_set_bit(d, r)

@@ -8,20 +8,23 @@ against an exact Python sum over the agreeing positions.  Bounded draws
 (``operators._below``, in ``flipOneWhereDifferent``, ``flipOneUniform`` and
 chooseConsistent's survivor index) replay numpy's own method for
 ``rng.integers(m)``, Lemire's multiply-shift rejection on ``next_uint32``,
-on the bit generator's C interface.  ``flipKWhereDifferent`` replays
-``rng.choice(c, take, replace=False)`` on those draws up to
-``_FLOYD_TAKE_LIMIT`` ranks: Floyd's draws, then the draws of numpy's
-shuffle.  ``bitcore.random_word`` joins raw
-``next_uint32`` outputs little-endian up to ``_WORD_DRAW_BITS`` bits, where
-numpy's ``rng.bytes`` draws the same ones.  Each must reproduce the earlier
-numpy code exactly: the same output word, the same generator state
-afterwards (the full state dict, PCG64's buffered half-word included) and
-bit-identical floats, so that seeded runs keep their query counts and output
-bytes.  The earlier code is kept here verbatim as the oracle; the second
-value its kernels return is a draw record, which the comparisons ignore.
-The replicas depend on how numpy draws, so CI also compares ``_below``, the
-flipK draw and ``random_word`` with numpy on numpy 2.0, the oldest numpy the
-package allows.
+on the bit generator's C interface.  ``flipKWhereDifferent`` makes numpy's
+Floyd draws, then the draws of numpy's shuffle, on ``_below`` at every take:
+that is ``rng.choice(c, take, replace=False)`` wherever numpy runs Floyd's
+algorithm (c <= 10,000, or take <= c // 50).  Outside that region numpy runs
+a tail shuffle, so there the kernel is checked against a Floyd-and-shuffle
+reference written here with ``rng.integers``.  ``bitcore.random_word`` joins
+raw ``next_uint32`` outputs little-endian at every width, the draws of
+numpy's ``rng.bytes``.  The pair-descent coin reads the top bit of one
+``random_raw`` output, which is ``rng.random() < 0.5``: ``next_double`` is
+``(u >> 11) * 2**-53``.  Each must reproduce the earlier numpy code exactly:
+the same output word, the same generator state afterwards (the full state
+dict, PCG64's buffered half-word included) and bit-identical floats, so that
+seeded runs keep their query counts and output bytes.  The earlier code is
+kept here verbatim as the oracle; the second value its kernels return is a
+draw record, which the comparisons ignore.  The replicas depend on how numpy
+draws, so CI also compares ``_below``, the flipK draw, ``random_word`` and
+the coin with numpy on numpy 2.0, the oldest numpy the package allows.
 """
 
 from __future__ import annotations
@@ -31,16 +34,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arityopt.bitcore import _WORD_DRAW_BITS, BitString, random_word
+from arityopt.algorithms import EngineState, _anchor_pair, _pair_descent
+from arityopt.bitcore import BitString, random_word
 from arityopt.operators import (
-    _FLOYD_TAKE_LIMIT,
     FLIP_ONE_UNIFORM,
     FLIP_ONE_WHERE_DIFFERENT,
     _below,
     flip_k_id,
     sample_operator,
 )
-from arityopt.problems import MonotoneInstance, random_instance
+from arityopt.problems import MonotoneInstance, Oracle, random_instance
 
 
 def word_unpack(word: int, n: int) -> np.ndarray:
@@ -76,6 +79,35 @@ def _k_flip_k(words, n, params, rng):
     for p in chosen:
         out ^= 1 << int(p)
     return out, tuple(int(p) for p in np.sort(chosen))
+
+
+def numpy_runs_floyd(c: int, take: int) -> bool:
+    """Whether ``rng.choice(c, take, replace=False)`` runs Floyd's algorithm;
+    otherwise it shuffles the tail of ``arange(c)``."""
+    return c <= 10_000 or take <= c // 50
+
+
+def floyd_and_shuffle(c: int, take: int, rng) -> list[int]:
+    """numpy's Floyd branch of ``choice`` written out on ``rng.integers``:
+    Floyd's algorithm fills ``take`` slots, then Fisher-Yates shuffles them."""
+    idx, seen = [], set()
+    for j in range(c - take, c):
+        v = int(rng.integers(j + 1))
+        idx.append(j if v in seen else v)
+        seen.add(idx[-1])
+    for i in range(take - 1, 0, -1):
+        j = int(rng.integers(i + 1))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+def _k_flip_k_floyd(words, n, params, rng):
+    x, y = words
+    pos = differing_positions(x, y, n)
+    out = y
+    for r in floyd_and_shuffle(pos.size, min(params[0], pos.size), rng):
+        out ^= 1 << int(pos[r])
+    return out, None
 
 
 def _k_flip_one_uniform(words, n, params, rng):
@@ -194,9 +226,12 @@ class TestFlipKWhereDifferent:
     def test_matches_numpy_kernel(self, pair, data, seed):
         n, x, y = pair
         ell = data.draw(st.integers(0, n + 1))
+        c = (x ^ y).bit_count()
+        # numpy's own kernel where it runs Floyd, the written-out Floyd elsewhere
+        reference = _k_flip_k if numpy_runs_floyd(c, min(ell, c)) else _k_flip_k_floyd
         rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_operator(flip_k_id(ell), (x, y), n, rng_new)
-        want, _ = _k_flip_k((x, y), n, (ell,), rng_old)
+        want, _ = reference((x, y), n, (ell,), rng_old)
         assert got == want
         assert type(got) is int
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
@@ -211,19 +246,42 @@ FLIP_K_POPULATIONS = (1, 2, 7, 60, 10_000, 10_001, 123_456)
 
 class TestFlipKDraw:
     """The flipK kernel on x = 0, y = 2**c - 1 flips exactly the ranks it
-    draws, so the flipped bits are the set ``rng.choice`` returns."""
+    draws, so the flipped bits are the set ``rng.choice`` returns.  Takes
+    0..25 cover every take the algorithms make (k <= 24)."""
 
     @pytest.mark.parametrize("c", FLIP_K_POPULATIONS)
     def test_flipped_ranks_are_the_choice_set(self, c):
         full = (1 << c) - 1
         for seed in range(120):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            for ell in range(_FLOYD_TAKE_LIMIT + 3):
+            for ell in range(26):
                 take = min(ell, c)
                 got = sample_operator(flip_k_id(ell), (0, full), c, rng_new) ^ full
                 want = rng_old.choice(c, size=take, replace=False).tolist() if take else []
                 assert got == sum(1 << r for r in want), (seed, c, ell)
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, c, ell)
+
+    @pytest.mark.parametrize(
+        "c, take", [(10_001, 201), (16_384, 328), (20_000, 401), (12_000, 12_000)])
+    def test_flipped_ranks_past_c_over_50_are_floyds(self, c, take):
+        """Where numpy shuffles a tail, the kernel still draws Floyd's ranks."""
+        full = (1 << c) - 1
+        for seed in range(3):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_operator(flip_k_id(take), (0, full), c, rng_new) ^ full
+            assert got == sum(1 << r for r in floyd_and_shuffle(c, take, rng_old)), (seed, c)
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, c)
+
+    @pytest.mark.parametrize("c", [10_001, 20_000])
+    def test_numpy_leaves_floyd_past_c_over_50(self, c):
+        """The one region where the kernel is not ``rng.choice``: past
+        c // 50 ranks of more than 10,000, numpy shuffles a tail instead."""
+        for take, same in ((c // 50, True), (c // 50 + 1, False)):
+            ours, theirs = np.random.default_rng(c), np.random.default_rng(c)
+            mine = set(floyd_and_shuffle(c, take, ours))
+            numpys = set(theirs.choice(c, size=take, replace=False).tolist())
+            same_state = ours.bit_generator.state == theirs.bit_generator.state
+            assert (mine == numpys and same_state) is same, (c, take)
 
 
 def bytes_word(n: int, rng: np.random.Generator) -> int:
@@ -233,8 +291,8 @@ def bytes_word(n: int, rng: np.random.Generator) -> int:
 
 class TestRandomWord:
     def test_matches_bytes_with_interleaved_draws(self):
-        lengths = list(range(1, 301)) + [1024, 4096]
-        assert {32, 33, _WORD_DRAW_BITS, _WORD_DRAW_BITS + 1} <= set(lengths)
+        lengths = list(range(1, 301)) + [1024, 4096, 16384]
+        assert {32, 33, 256, 257, 16384} <= set(lengths)
         for seed in range(12):
             plan = np.random.default_rng([seed, 11])
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -251,6 +309,54 @@ class TestRandomWord:
                 elif step == 2:
                     m = int(plan.integers(1, 2**32))
                     assert _below(m, rng_new) == int(rng_old.integers(m))
+
+
+def random_coin_descent(view, rng, flips, hx, fx, hy, fy):
+    """The earlier ``algorithms._pair_descent``, whose coin is ``rng.random()``."""
+    kept = 0
+    while kept < flips:
+        if rng.random() < 0.5:
+            h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (hx, hy), rng)
+            if f2 > fx:
+                hx, fx = h2, f2
+                kept += 1
+        else:
+            h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (hy, hx), rng)
+            if f2 > fy:
+                hy, fy = h2, f2
+                kept += 1
+    return hx, fx
+
+
+class TestPairDescentCoin:
+    def test_top_bit_is_random_below_half(self):
+        for seed in range(300):
+            plan = np.random.default_rng([seed, 13])
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(40):
+                coin = not rng_new.bit_generator.random_raw() >> 63
+                assert coin == (rng_old.random() < 0.5), seed
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state, seed
+                # bounded draws between coins, as in pair descent: the coin's
+                # 64-bit draw must leave PCG64's buffered half-word as it is
+                for _ in range(int(plan.integers(3))):
+                    m = int(plan.integers(1, 2**32))
+                    assert _below(m, rng_new) == int(rng_old.integers(m))
+                    assert rng_new.bit_generator.state == rng_old.bit_generator.state, seed
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 200])
+    def test_pair_descent_matches_the_random_coin(self, n):
+        """The same queries, in order, and the same generator state after."""
+        for seed in range(40):
+            inst = random_instance("monotone", n, seed)
+            runs = []
+            for descent in (_pair_descent, random_coin_descent):
+                oracle = Oracle(inst)
+                view = EngineState(oracle, 2).view
+                rng = np.random.default_rng(seed)
+                hx, fx = descent(view, rng, n, *_anchor_pair(view, rng))
+                runs.append((hx._word, fx, oracle.history, rng.bit_generator.state))
+            assert runs[0] == runs[1], (n, seed)
 
 
 class TestMonotoneEvaluation:
