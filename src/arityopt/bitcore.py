@@ -2,9 +2,10 @@
 
 A :class:`BitString` of length ``n`` is stored as a Python integer whose bit
 ``i`` (0-based, ``1 << i``) holds the value at position ``i``.  Positions are
-0-based internally and in all serialized formats; the ASCII form puts position
-0 leftmost.  Integers keep xor and popcount at O(n / wordsize) per operation;
-the Hamming distance of two words is ``(x ^ y).bit_count()``.
+0-based internally and in every serialized format but one: the instances JSON
+writes LeadingOnes' sigma 1-based.  The ASCII form puts position 0 leftmost.
+Integers keep xor and popcount at O(n / wordsize) per operation; the Hamming
+distance of two words is ``(x ^ y).bit_count()``.
 """
 
 from __future__ import annotations
@@ -115,13 +116,13 @@ def word_unpack(word: int, n: int) -> np.ndarray:
 
 
 def random_word(n: int, rng: np.random.Generator) -> int:
-    """Uniform n-bit word: raw ``next_uint32`` outputs joined little-endian at
-    every width, which is ``Generator.bytes((n + 7) // 8)`` read little-endian."""
-    bits = rng.bit_generator.ctypes
-    word = 0
-    for shift in range(0, n, 32):
-        word |= bits.next_uint32(bits.state) << shift
-    return word & ((1 << n) - 1)
+    """Uniform n-bit word: ceil(n / 64) raw 64-bit outputs of the bit
+    generator, joined little-endian.  It reads no buffered half-word and
+    leaves PCG64's buffer as it is."""
+    if n <= 64:
+        return int(rng.bit_generator.random_raw()) & ((1 << n) - 1)
+    raw = rng.bit_generator.random_raw((n + 63) >> 6).astype("<u8", copy=False).tobytes()
+    return int.from_bytes(raw, "little") & ((1 << n) - 1)
 
 
 def differing_positions(wx: int, wy: int, n: int) -> np.ndarray:

@@ -25,8 +25,11 @@ that draw on its anchors' block, between ``block_projection`` and ``embed_word``
 Both memoise all before the draw by their own arguments (``_survivors``): they
 alone see the repeats, as a statistical trial alternates two input sets.
 
-Bounded draws go through ``_below``, which replays numpy's ``rng.integers(m)``
-(Lemire's multiply-shift rejection) on the bit generator's C interface.
+Uniform words (uniformSample, randomWhereDifferent's mask and an empty
+consistent set's word) come from ``bitcore.random_word``, raw 64-bit outputs
+of the bit generator.  Bounded draws go through ``_below``, which replays
+numpy's ``rng.integers(m)`` (Lemire's multiply-shift rejection) on the bit
+generator's C interface.
 flipK makes numpy's Floyd draws, then its shuffle's, on ``_below`` at every
 take: ``Generator.choice(c, take, replace=False)`` wherever numpy runs Floyd's
 algorithm (c <= 10,000, or take <= c // 50).  Differential tests pin both to
@@ -99,20 +102,11 @@ def _below(m: int, rng: np.random.Generator) -> int:
     return product >> 32
 
 
-def _rand_word(n: int, rng: np.random.Generator) -> int:
-    # raw 64-bit PRNG outputs; far cheaper per draw than Generator.bytes
-    if n <= 64:
-        return int(rng.bit_generator.random_raw()) & ((1 << n) - 1)
-    k = (n + 63) >> 6
-    raw = rng.bit_generator.random_raw(k)
-    return int.from_bytes(raw.tobytes(), "little") & ((1 << n) - 1)
-
-
 # Word-level kernels.  Each returns its output word; the deterministic ones
 # ignore rng.
 
 def _k_uniform(words, n, params, rng):
-    return _rand_word(n, rng)
+    return random_word(n, rng)
 
 
 def _k_complement(words, n, params, rng):
@@ -147,7 +141,7 @@ def _k_rwd(words, n, params, rng):
     d = x ^ y
     if d == 0:
         return x
-    return x ^ (d & _rand_word(n, rng))
+    return x ^ (d & random_word(n, rng))
 
 
 def _k_update(words, n, params, rng):

@@ -199,9 +199,8 @@ def random_instance(class_name: str, n: int, seed):
 
     ``seed`` may be anything ``np.random.default_rng`` accepts.  z is uniform
     over {0,1}^n; LeadingOnes additionally draws sigma uniform over all
-    position orders.  Monotone then draws i.i.d. weights uniform on 1..256: one
-    ``random_raw((n + 7) // 8)`` call, read little-endian, one byte per weight
-    plus 1.
+    position orders.  Monotone then draws i.i.d. weights uniform on 1..256:
+    the bytes of one ``random_word(8 * n)``, little-endian, each plus 1.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -213,5 +212,5 @@ def random_instance(class_name: str, n: int, seed):
         return OneMaxInstance(z)
     if class_name == "leadingones":
         return LeadingOnesInstance(z, Permutation.random(n, rng))
-    raw = rng.bit_generator.random_raw((n + 7) // 8).astype("<u8").tobytes()
-    return MonotoneInstance(z, tuple(byte + 1 for byte in raw[:n]))
+    raw = random_word(8 * n, rng).to_bytes(n, "little")
+    return MonotoneInstance(z, tuple(byte + 1 for byte in raw))

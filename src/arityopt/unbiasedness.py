@@ -159,7 +159,7 @@ def _trial_case(family: str, n: int, rng) -> tuple[object, list[int]]:
         block = sorted(int(p) for p in rng.choice(n, size=ell, replace=False))
         mask = sum(1 << p for p in block)
         outside = a_lo & ~mask
-        points = [embed_word(int(rng.integers(0, 1 << ell)), block, outside) for _ in range(r)]
+        points = [embed_word(random_word(ell, rng), block, outside) for _ in range(r)]
         values = [int(rng.integers(0, ell + 1)) for _ in range(r)]
         return choose_consistent_sub_id(values), points + [a_lo, a_lo ^ mask]
     params = (int(rng.integers(0, n + 1)),) if family == "flipKWhereDifferent" else None

@@ -16,6 +16,7 @@ from arityopt.bitcore import (
     random_word,
     word_unpack,
 )
+from arityopt.operators import _below
 
 
 def bs(s: str) -> BitString:
@@ -142,12 +143,20 @@ class TestWordHelpers:
             packed = np.packbits(bits.astype(np.uint8), bitorder="little")
             assert int.from_bytes(packed.tobytes(), "little") == w
 
-    def test_random_word_is_the_bytes_draw(self):
-        for n in (1, 7, 8, 9, 64, 100):
-            a, b = np.random.default_rng(n), np.random.default_rng(n)
-            want = int.from_bytes(b.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
-            assert random_word(n, a) == want
-            assert a.bit_generator.state == b.bit_generator.state
+    def test_random_word_is_ceil_n_over_64_raw_outputs(self):
+        # joined little-endian; a _below draw before each word leaves PCG64
+        # a buffered half-word at times, which the word must leave as it is
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        buffered = 0
+        for n in list(range(1, 301)) + [1024, 4096, 16384]:
+            assert _below(n + 2, ours) == _below(n + 2, theirs)
+            buffered += ours.bit_generator.state["has_uint32"]
+            raw = theirs.bit_generator.random_raw((n + 63) // 64)
+            want = sum(int(u) << (64 * i) for i, u in enumerate(raw)) & ((1 << n) - 1)
+            got = random_word(n, ours)
+            assert got == want and type(got) is int, n
+            assert ours.bit_generator.state == theirs.bit_generator.state, n
+        assert buffered > 0
 
     def test_unpack_bit_order(self):
         # bit i of the word is entry i of the array

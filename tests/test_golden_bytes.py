@@ -49,10 +49,10 @@ RUN_DIGESTS = {
         "78bbf4468d5920e187156d88a05713e913c6a60ab5174ab43dbc8d72ad27d9dc",
     ),
     ("binary_leadingones", "leadingones"): (
-        "acaf3960e11b957650d0cf0f9c89277fc7db4689439fe3b564b804f9fb38748b",
-        "d8aca61277cbbf301e676a33d0fae2319096e655b923726c18532c5b5f2bffff",
-        "0dd484d4c4717fb99e68ad6f6b0e0c160764f58789e1675b6eb3bdcc7e443d0a",
-        "db2577a5c4ed3ea1185ccf4259f1e6a25a241cea20d60d368ef5fecfe0fef41f",
+        "55b7e37a426466e05fd2fe2a159169ffe4ed9dc806d45818de7507919693c44d",
+        "1b16e40004cc1250ba8682a67e47c9c852586bbd5f4852acb219629ab7d4d752",
+        "8b6d4cd5c075656597ed37337245e986d2e8bac76a9023bb1e78a49b75c8c87c",
+        "2b1a85071c5b3c6e607b39d6541eccb64a94b73b98e2be10ee800d51beec3dff",
     ),
     ("rls", "onemax"): (
         "747b82d9b925e1bef640b779b9ef7f5e98ed0fc9067913c9ef48c7616f7126a1",
@@ -61,10 +61,10 @@ RUN_DIGESTS = {
         "78bbf4468d5920e187156d88a05713e913c6a60ab5174ab43dbc8d72ad27d9dc",
     ),
     ("rls", "leadingones"): (
-        "59fc2ebefcb95e80e1dc300daf2b4896b0873c6809cfda596c31db08e981dea0",
-        "430c391ac06a375987d16313dcadb30f28d291280f220544d4f506dfd9904a8e",
-        "9dde8c6a91e3ca977bf3bd869303bf02f2aec802d9080b5dfd8dc1df9f3e9244",
-        "db2577a5c4ed3ea1185ccf4259f1e6a25a241cea20d60d368ef5fecfe0fef41f",
+        "0d534be25edb0b29cb2b6208ec31a13a945dd5071a62da695b1512b8543fadb2",
+        "5fdab676a9cedc9540f5416bcc3b51a9d117b26d083956f758d92805030c5c46",
+        "f876d5eb37bb6b2c12266849a02c2a34ef781812b5366c848961fb8ecfdb02b2",
+        "2b1a85071c5b3c6e607b39d6541eccb64a94b73b98e2be10ee800d51beec3dff",
     ),
 }
 
@@ -73,7 +73,7 @@ BUDGET_HIT_DIGESTS = {
         "79967fee6f0b847e645a5201f8941c98abeb8427846bd820ee7efeedea32bb7b",
         "e9fdc6a726f45eb33a0f8be7b94c98342cc6bfafad2c16c05cc7b066a4048e3e",
         "b4c7cb3b2a1105df73ecdd19104d04cf14f9e68342980d7d839cb3dce05159c1",
-        "db2577a5c4ed3ea1185ccf4259f1e6a25a241cea20d60d368ef5fecfe0fef41f",
+        "2b1a85071c5b3c6e607b39d6541eccb64a94b73b98e2be10ee800d51beec3dff",
     ),
 }
 

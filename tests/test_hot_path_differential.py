@@ -13,18 +13,26 @@ Floyd draws, then the draws of numpy's shuffle, on ``_below`` at every take:
 that is ``rng.choice(c, take, replace=False)`` wherever numpy runs Floyd's
 algorithm (c <= 10,000, or take <= c // 50).  Outside that region numpy runs
 a tail shuffle, so there the kernel is checked against a Floyd-and-shuffle
-reference written here with ``rng.integers``.  ``bitcore.random_word`` joins
-raw ``next_uint32`` outputs little-endian at every width, the draws of
-numpy's ``rng.bytes``.  The pair-descent coin reads the top bit of one
-``random_raw`` output, which is ``rng.random() < 0.5``: ``next_double`` is
-``(u >> 11) * 2**-53``.  Each must reproduce the earlier numpy code exactly:
+reference written here with ``rng.integers``.  The pair-descent coin reads
+the top bit of one ``random_raw`` output, which is ``rng.random() < 0.5``:
+``next_double`` is ``(u >> 11) * 2**-53``.  Each must reproduce the earlier
+numpy code exactly:
 the same output word, the same generator state afterwards (the full state
 dict, PCG64's buffered half-word included) and bit-identical floats, so that
 seeded runs keep their query counts and output bytes.  The earlier code is
 kept here verbatim as the oracle; the second value its kernels return is a
 draw record, which the comparisons ignore.  The replicas depend on how numpy
-draws, so CI also compares ``_below``, the flipK draw, ``random_word`` and
-the coin with numpy on numpy 2.0, the oldest numpy the package allows.
+draws, so CI also compares ``_below``, the flipK draw and the coin with numpy
+on numpy 2.0, the oldest numpy the package allows.
+
+``bitcore.random_word`` replicates no numpy method: it is ceil(n / 64) raw
+64-bit outputs joined little-endian, and it leaves PCG64's buffered half-word
+alone.  The earlier ``random_word`` joined ``next_uint32`` outputs, which on
+a fresh generator gives the same bits but leaves a half-word buffered after
+an odd number of 32-bit chunks.  So ``random_instance`` keeps z and the
+monotone weights at every n, and LeadingOnes' sigma, whose permutation reads
+that buffer, wherever ceil(n / 32) is even; the earlier join is kept here
+verbatim to show it.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arityopt.algorithms import EngineState, _anchor_pair, _pair_descent
-from arityopt.bitcore import BitString, random_word
+from arityopt.bitcore import BitString, Permutation, random_word
 from arityopt.operators import (
     FLIP_ONE_UNIFORM,
     FLIP_ONE_WHERE_DIFFERENT,
@@ -284,31 +292,65 @@ class TestFlipKDraw:
             assert (mine == numpys and same_state) is same, (c, take)
 
 
-def bytes_word(n: int, rng: np.random.Generator) -> int:
-    """The earlier ``random_word``: n bits of ``rng.bytes``, little-endian."""
-    return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
-
-
 class TestRandomWord:
-    def test_matches_bytes_with_interleaved_draws(self):
+    def test_is_raw_outputs_with_interleaved_draws(self):
         lengths = list(range(1, 301)) + [1024, 4096, 16384]
-        assert {32, 33, 256, 257, 16384} <= set(lengths)
+        assert {32, 33, 64, 65, 256, 257, 16384} <= set(lengths)
         for seed in range(12):
             plan = np.random.default_rng([seed, 11])
-            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for n in lengths:
+                before = rng_new.bit_generator.state
                 got = random_word(n, rng_new)
-                assert got == bytes_word(n, rng_old), (seed, n)
+                raw = rng_ref.bit_generator.random_raw((n + 63) // 64)
+                want = int.from_bytes(raw.astype("<u8").tobytes(), "little") & ((1 << n) - 1)
+                assert got == want, (seed, n)
                 assert type(got) is int
-                assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, n)
-                # a bounded draw leaves PCG64's buffered half-word for the
-                # next word to start from; a double leaves it as it is
+                after = rng_new.bit_generator.state
+                assert after == rng_ref.bit_generator.state, (seed, n)
+                assert (after["has_uint32"], after["uinteger"]) == (
+                    before["has_uint32"], before["uinteger"]), (seed, n)
+                # a bounded draw may leave PCG64 a buffered half-word, which
+                # the next word must leave as it is; a double leaves it too
                 step = int(plan.integers(3))
                 if step == 1:
-                    assert rng_new.random() == rng_old.random()
+                    assert rng_new.random() == rng_ref.random()
                 elif step == 2:
                     m = int(plan.integers(1, 2**32))
-                    assert _below(m, rng_new) == int(rng_old.integers(m))
+                    assert _below(m, rng_new) == int(rng_ref.integers(m))
+
+
+def uint32_word(n: int, rng: np.random.Generator) -> int:
+    """The earlier ``random_word``: raw ``next_uint32`` outputs joined
+    little-endian at every width."""
+    bits = rng.bit_generator.ctypes
+    word = 0
+    for shift in range(0, n, 32):
+        word |= bits.next_uint32(bits.state) << shift
+    return word & ((1 << n) - 1)
+
+
+class TestInstanceDraws:
+    def test_only_sigma_at_odd_ceil_n_over_32_moves(self):
+        """z and the weights as the earlier join drew them at every n; sigma
+        wherever ceil(n / 32) is even, and it does move at some odd one."""
+        moved = set()
+        for n in list(range(1, 300)) + [1024, 4096, 16384]:
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                z = uint32_word(n, rng)
+                sigma = Permutation.random(n, rng).mapping
+                rng = np.random.default_rng(seed)
+                uint32_word(n, rng)
+                raw = rng.bit_generator.random_raw((n + 7) // 8).astype("<u8").tobytes()
+                weights = tuple(b + 1 for b in raw[:n])
+                onemax, leadingones, monotone = (
+                    random_instance(c, n, seed) for c in ("onemax", "leadingones", "monotone"))
+                assert onemax.z.word == leadingones.z.word == monotone.z.word == z, (n, seed)
+                assert monotone.weights == weights, (n, seed)
+                if leadingones.sigma.mapping != sigma:
+                    moved.add(n)
+        assert moved and all(-(-n // 32) % 2 for n in moved)
 
 
 def random_coin_descent(view, rng, flips, hx, fx, hy, fy):
