@@ -193,8 +193,9 @@ def _pair_descent(view: PolicyView, rng, flips, hx, fx, hy, fy):
     or in y per query, and strict improvements are kept, until ``flips`` are
     kept.  Returns (hx, fx)."""
     kept = 0
+    random_raw = rng.bit_generator.random_raw
     while kept < flips:
-        if not rng.bit_generator.random_raw() >> 63:  # top bit 0: Generator.random() < 0.5
+        if not random_raw() >> 63:  # top bit 0: Generator.random() < 0.5
             h2, f2 = view.apply(FLIP_ONE_WHERE_DIFFERENT, (hx, hy), rng)
             if f2 > fx:
                 hx, fx = h2, f2

@@ -217,9 +217,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "algorithm, class_name, n_values, k, base_seed, total, first_five",
         PINNED_COUNTS,
-        # ids name a row by algorithm, seed, total and row index, as they did
-        # when the table held only the two leadingones rows
-        ids=[f"{r[0]}-{r[4]}-{r[5]}-first_five{i}" for i, r in enumerate(PINNED_COUNTS)],
+        # ids name a row by algorithm, class, seed and row index, not by the
+        # pinned total, so re-recording a row's counts keeps its test's name
+        ids=[f"{r[0]}-{r[1]}-{r[4]}-row{i}" for i, r in enumerate(PINNED_COUNTS)],
     )
     def test_seeded_query_counts_are_pinned(
         self, algorithm, class_name, n_values, k, base_seed, total, first_five
