@@ -128,11 +128,18 @@ def _instances_payload(records) -> list[dict]:
     return out
 
 
-def _check_out_dir(path: str) -> None:
-    """Fail before any work when ``--out`` names a file in a missing directory."""
+def _check_out_dir(path: str, input_path: str | None = None) -> None:
+    """Fail before any work when ``--out`` is a directory or a file in a
+    missing directory, or when ``report`` would write over its ``--input``."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path}: is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"--out {path}: directory {parent} does not exist")
+    if input_path is not None and os.path.exists(input_path):
+        for written in (path, output_stem(path) + ".report.json"):
+            if os.path.exists(written) and os.path.samefile(written, input_path):
+                raise ConfigError(f"--out {path}: {written} is the --input file")
 
 
 def _print_written(paths: dict) -> int:
@@ -244,7 +251,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, args.input)
     summaries = summarize(read_runs_csv(args.input))
     return _print_written(
         write_summaries(summaries, args.out, output_stem(args.out) + ".report.json")

@@ -333,8 +333,10 @@ class TestReport:
 
 
 class TestOutDirectory:
-    """An --out in a missing directory fails with exit 1 before any work,
-    in process, so a batch or a report never runs only to be lost."""
+    """An --out that cannot take the output (a directory, a file in a missing
+    directory, or a report written over its --input) fails with exit 1
+    before any work, in process, so a batch or a report never runs only to
+    be lost, and no input is overwritten."""
 
     def _fail_if_called(self, *args, **kwargs):
         pytest.fail("called although --out cannot be written")
@@ -357,6 +359,40 @@ class TestOutDirectory:
         err = capsys.readouterr().err
         assert f"configuration error: --out {out}: directory {out.parent} does not exist" in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_out_may_not_be_a_directory(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", self._fail_if_called)
+        monkeypatch.setattr(cli, "read_runs_csv", self._fail_if_called)
+        out = tmp_path / "runs"
+        out.mkdir()
+        args = {"run": ["--algorithm", "rls", "--class", "onemax", "--n", "4", "--trials", "2"],
+                "report": ["--input", str(tmp_path / "runs.csv")]}[command]
+        code = cli.main([command, *args, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"configuration error: --out {out}: is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("input_name, out_name, written", [
+        # the summary CSV over the input, then the JSON report over it
+        ("runs.csv", "runs.csv", "runs.csv"),
+        ("runs.report.json", "runs.csv", "runs.report.json"),
+        ("runs.report.json", "runs", "runs.report.json"),
+    ])
+    def test_report_does_not_overwrite_its_input(self, runs_csv, input_name, out_name, written,
+                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "read_runs_csv", self._fail_if_called)
+        data = open(runs_csv, "rb").read()
+        source = tmp_path / input_name
+        source.write_bytes(data)
+        out = tmp_path / out_name
+        code = cli.main(["report", "--input", str(source), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: --out {out}: {tmp_path / written} is the --input file" in err
+        assert source.read_bytes() == data
+        assert list(tmp_path.iterdir()) == [source]
 
 
 class TestOutOfMemory:

@@ -22,8 +22,8 @@ dict, PCG64's buffered half-word included) and bit-identical floats, so that
 seeded runs keep their query counts and output bytes.  The earlier code is
 kept here verbatim as the oracle; the second value its kernels return is a
 draw record, which the comparisons ignore.  The replicas depend on how numpy
-draws, so CI also compares ``_below``, the flipK draw and the coin with numpy
-on numpy 2.0, the oldest numpy the package allows.
+draws, so CI also runs ``TestBoundedDraw`` (``_below``), ``TestFlipKDraw``
+and ``TestPairDescentCoin`` on numpy 2.0, the oldest numpy the package allows.
 
 ``bitcore.random_word`` replicates no numpy method: it is ceil(n / 64) raw
 64-bit outputs joined little-endian, and it leaves PCG64's buffered half-word

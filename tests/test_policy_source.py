@@ -82,16 +82,51 @@ def test_policies_use_the_view_only_through_apply_and_n():
     assert violations(SOURCE) == []
 
 
-@pytest.mark.parametrize("original, replacement, message", [
-    ("view.apply(FLIP_ONE_UNIFORM, (hx,), rng)",
-     "view.apply.__self__.apply(FLIP_ONE_UNIFORM, (hx,), rng)", "reads attribute __self__"),
-    ("t = round_count(view.n)", "t = round_count(view._x)", "reads attribute _x"),
-    ("t = round_count(view.n)", "t = round_count(getattr(view, 'n'))", "names getattr"),
-    ("kept = 0\n", "kept = 0\n    engine = view\n", "uses its view other than"),
-    ("n = view.n\n", "n = len(vars(view))\n", "names vars"),
-    ("if f2 >= fx:", "if h2._word >= fx:", "reads attribute _word"),
-])
-def test_a_planted_violation_is_found(original, replacement, message):
-    assert original in SOURCE
-    found = violations(SOURCE.replace(original, replacement, 1))
+class _Swap(ast.NodeTransformer):
+    """Put ``new`` (a node, or a list of statements) where ``old`` stands."""
+
+    def __init__(self, old, new):
+        self.old, self.new = old, new
+
+    def visit(self, node):
+        return self.new if node is self.old else self.generic_visit(node)
+
+
+def _first(fn, test):
+    """The first node of ``fn``, in ``ast.walk`` order, that passes ``test``."""
+    node = next((node for node in ast.walk(fn) if test(node)), None)
+    assert node is not None, f"no planting site in {fn.name}"
+    return node
+
+
+def _view(attr):
+    """A site: the first ``view.<attr>`` in the function."""
+    return lambda fn: _first(fn, lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+                             and isinstance(node.value, ast.Name) and node.value.id == "view")
+
+
+def plant(function: str, site, replacement: str) -> str:
+    """The source with ``replacement`` planted at ``site`` of ``function``:
+    an expression in place of the site's expression, or statements after the
+    site's statement."""
+    tree = ast.parse(SOURCE)
+    old = site(policy_functions(tree)[function])
+    if isinstance(old, ast.stmt):
+        new = [old, *ast.parse(replacement).body]
+    else:
+        new = ast.parse(replacement, mode="eval").body
+    return ast.unparse(_Swap(old, new).visit(tree))
+
+
+@pytest.mark.parametrize("function, site, replacement, message", [
+    ("policy_rls", _view("apply"), "view.apply.__self__.apply", "reads attribute __self__"),
+    ("policy_star_ary_onemax", _view("n"), "view._x", "reads attribute _x"),
+    ("policy_star_ary_onemax", _view("n"), "getattr(view, 'n')", "names getattr"),
+    ("_pair_descent", lambda fn: fn.body[0], "engine = view", "uses its view other than"),
+    ("policy_kary_onemax", _view("n"), "len(vars(view))", "names vars"),
+    ("policy_rls", lambda fn: _first(fn, lambda node: isinstance(node, ast.Compare)).left,
+     "h2._word", "reads attribute _word"),
+], ids=["apply-self", "private-attribute", "getattr", "alias", "vars", "handle-word"])
+def test_a_planted_violation_is_found(function, site, replacement, message):
+    found = violations(plant(function, site, replacement))
     assert any(message in f for f in found), found

@@ -94,9 +94,11 @@ class TestCertifyOperator:
         with pytest.raises(ExactEnumerationUnavailable):
             certify_operator("complement", 20, 5, rng, mode="exact")
 
-    def test_statistical_mode_smoke(self):
+    # from n = 64 on, the samples are profiled as Python ints in an object array
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_statistical_mode_smoke(self, n):
         rng = np.random.default_rng(3)
-        report = certify_operator("flipOneWhereDifferent", 20, 5, rng)
+        report = certify_operator("flipOneWhereDifferent", n, 5, rng)
         assert report.mode == "statistical"
         assert report.passed
 
