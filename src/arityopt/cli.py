@@ -128,16 +128,21 @@ def _instances_payload(records) -> list[dict]:
     return out
 
 
-def _check_out_dir(path: str, input_path: str | None = None) -> None:
+def _check_out_dir(path: str, suffixes: tuple, input_path: str | None = None) -> None:
     """Fail before any work when ``--out`` is a directory or a file in a
-    missing directory, or when ``report`` would write over its ``--input``."""
+    missing directory, when a file written beside it, ``<stem><suffix>``, is
+    a directory, or when ``report`` would write over its ``--input``."""
     if os.path.isdir(path):
         raise ConfigError(f"--out {path}: is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"--out {path}: directory {parent} does not exist")
+    beside = [output_stem(path) + suffix for suffix in suffixes]
+    for written in beside:
+        if os.path.isdir(written):
+            raise ConfigError(f"--out {path}: {written} is a directory")
     if input_path is not None and os.path.exists(input_path):
-        for written in (path, output_stem(path) + ".report.json"):
+        for written in (path, *beside):
             if os.path.exists(written) and os.path.samefile(written, input_path):
                 raise ConfigError(f"--out {path}: {written} is the --input file")
 
@@ -152,7 +157,8 @@ def _cmd_run(args) -> int:
     if args.debug_instances and not args.out:
         raise ConfigError("--debug-instances requires --out")
     if args.out:
-        _check_out_dir(args.out)
+        _check_out_dir(args.out, (".summary.csv", ".report.json")
+                       + ((".instances.json",) if args.debug_instances else ()))
     cfg = ExperimentConfig(
         algorithm=args.algorithm,
         class_name=args.class_name,
@@ -251,7 +257,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _check_out_dir(args.out, args.input)
+    _check_out_dir(args.out, (".report.json",), args.input)
     summaries = summarize(read_runs_csv(args.input))
     return _print_written(
         write_summaries(summaries, args.out, output_stem(args.out) + ".report.json")

@@ -25,6 +25,14 @@ that draw on its anchors' block, between ``block_projection`` and ``embed_word``
 Both memoise all before the draw by their own arguments (``_survivors``): they
 alone see the repeats, as a statistical trial alternates two input sets.
 
+flipOneWhereDifferent draws a uniform rank below the popcount of d = x ^ y
+and flips the set bit of d at that rank.  Along pair descent d stays the same
+or loses one bit, so the kernel keeps a one-entry, per-thread memo of the last
+d and the ascending positions of its set bits, built on the second sighting of
+d or of a one-bit neighbour and then kept by one insert or delete per kept
+flip.  A d more than one bit from the memo's is only recorded, and its bit
+is found by ``bitcore.nth_set_bit``, as flipK finds each of its bits.
+
 Uniform words (uniformSample, randomWhereDifferent's mask and an empty
 consistent set's word) come from ``bitcore.random_word``, raw 64-bit outputs
 of the bit generator.  Bounded draws go through ``_below``, which replays
@@ -38,6 +46,9 @@ numpy, and CI runs them on numpy 2.0 too.
 
 from __future__ import annotations
 
+import threading
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import fsum
@@ -113,10 +124,52 @@ def _k_complement(words, n, params, rng):
     return ~words[0] & ((1 << n) - 1)
 
 
+class _FlipOneMemo:
+    """flipOne's last difference ``d`` and ``pos``, the ascending positions
+    of its set bits, or None until they are built."""
+
+    __slots__ = ("d", "pos")
+
+    def __init__(self) -> None:
+        self.d, self.pos = 0, None
+
+
+class _ThreadMemos(threading.local):
+    """A ``_FlipOneMemo`` per thread, made on the thread's first call.  An
+    attribute of a thread-local costs about three times a slot's, so the
+    kernel reads the thread-local once per call and then the memo's slots."""
+
+    def __init__(self) -> None:
+        self.flip_one = _FlipOneMemo()
+
+
+_thread_memos = _ThreadMemos()
+
+
 def _k_flip_one(words, n, params, rng):
     x, y = words
     d = x ^ y
-    return x ^ (1 << nth_set_bit(d, _below(d.bit_count(), rng))) if d else x
+    if not d:
+        return x
+    memo = _thread_memos.flip_one
+    change = d ^ memo.d
+    pos = memo.pos
+    memo.pos = None  # cleared first, so d is never paired with another d's positions
+    memo.d = d
+    if change & (change - 1):  # more than one bit from the memo's d: record d only
+        return x ^ (1 << nth_set_bit(d, _below(d.bit_count(), rng)))
+    if pos is None:  # the second sighting of d or of a one-bit neighbour
+        pos = array("q")  # filled in place: a copy through bytes raised peak RSS
+        pos.frombytes(differing_positions(d, 0, n).astype(np.int64, copy=False).view(np.uint8))
+    elif change:  # a kept flip: one bit left d, or joined it
+        p = change.bit_length() - 1
+        i = bisect_left(pos, p)
+        if d & change:
+            pos.insert(i, p)
+        else:
+            del pos[i]
+    memo.pos = pos
+    return x ^ (1 << pos[_below(len(pos), rng)])
 
 
 def _k_flip_k(words, n, params, rng):

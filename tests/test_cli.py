@@ -334,7 +334,8 @@ class TestReport:
 
 class TestOutDirectory:
     """An --out that cannot take the output (a directory, a file in a missing
-    directory, or a report written over its --input) fails with exit 1
+    directory, a file written beside it that is a directory, or a report
+    written over its --input) fails with exit 1
     before any work, in process, so a batch or a report never runs only to
     be lost, and no input is overwritten."""
 
@@ -373,6 +374,27 @@ class TestOutDirectory:
         assert f"configuration error: --out {out}: is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, beside, extra", [
+        ("run", "runs.summary.csv", []),
+        ("run", "runs.report.json", []),
+        ("run", "runs.instances.json", ["--debug-instances"]),
+        ("report", "runs.report.json", []),
+    ])
+    def test_no_file_written_beside_out_may_be_a_directory(self, command, beside, extra,
+                                                          tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", self._fail_if_called)
+        monkeypatch.setattr(cli, "read_runs_csv", self._fail_if_called)
+        blocked = tmp_path / beside
+        blocked.mkdir()
+        out = tmp_path / "runs.csv"
+        args = {"run": ["--algorithm", "rls", "--class", "onemax", "--n", "4", "--trials", "2"],
+                "report": ["--input", str(tmp_path / "input.csv")]}[command]
+        code = cli.main([command, *args, *extra, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"configuration error: --out {out}: {blocked} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [blocked]
+        assert list(blocked.iterdir()) == []
 
     @pytest.mark.parametrize("input_name, out_name, written", [
         # the summary CSV over the input, then the JSON report over it

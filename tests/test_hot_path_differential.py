@@ -1,8 +1,12 @@
 """The pure-int hot path against the numpy code it replaced.
 
-``flipOneWhereDifferent`` picks its flipped bit with ``bitcore.nth_set_bit``,
+``flipOneWhereDifferent`` reads its flipped bit from a per-thread memo of
+the last ``d = x ^ y`` and the ascending positions of its set bits, kept by
+one insert or delete as pair descent adds or removes a bit of d, and
+otherwise finds it with ``bitcore.nth_set_bit``; it is checked call by call
+along pair-descent-shaped chains, after a failed draw and in threads.
 ``flipKWhereDifferent`` flips the set bits of ``x ^ y`` at the ranks it
-draws, each also found by ``nth_set_bit``.  Monotone evaluation sums its
+draws, each found by ``nth_set_bit``.  Monotone evaluation sums its
 integer weights by popcount over one int slice per weight bit; it is checked
 against an exact Python sum over the agreeing positions.  Bounded draws
 (``operators._below``, in ``flipOneWhereDifferent``, ``flipOneUniform`` and
@@ -22,8 +26,9 @@ dict, PCG64's buffered half-word included) and bit-identical floats, so that
 seeded runs keep their query counts and output bytes.  The earlier code is
 kept here verbatim as the oracle; the second value its kernels return is a
 draw record, which the comparisons ignore.  The replicas depend on how numpy
-draws, so CI also runs ``TestBoundedDraw`` (``_below``), ``TestFlipKDraw``
-and ``TestPairDescentCoin`` on numpy 2.0, the oldest numpy the package allows.
+draws, so CI also runs ``TestBoundedDraw`` (``_below``),
+``TestFlipOneWhereDifferent``, ``TestFlipKDraw`` and ``TestPairDescentCoin``
+on numpy 2.0, the oldest numpy the package allows.
 
 ``bitcore.random_word`` replicates no numpy method: it is ceil(n / 64) raw
 64-bit outputs joined little-endian, and it leaves PCG64's buffered half-word
@@ -37,11 +42,16 @@ verbatim to show it.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arityopt import operators
 from arityopt.algorithms import EngineState, _anchor_pair, _pair_descent
 from arityopt.bitcore import BitString, Permutation, random_word
 from arityopt.operators import (
@@ -162,7 +172,48 @@ def word_pairs(draw):
     return n, x, x ^ d
 
 
+# One cycle of a pair-descent-shaped chain: the pair as it stands, in either
+# order; a kept flip, which takes one bit out of d = x ^ y or adds one; an
+# unrelated pair, after which the chain's d is seen again; and d = 0.
+CHAIN_CYCLE = ("same", "remove", "swap", "add", "unrelated", "same", "same", "remove", "zero",
+               "remove")
+CHAIN_WIDTHS = (1, 63, 64, 65, 4096)
+
+
+def flip_one_chain(n: int, seed: int, cycles: int = 4) -> list[tuple[int, int]]:
+    """The (x, y) pairs of a chain at width n, as ``CHAIN_CYCLE`` lays out."""
+    r = random.Random(seed)
+    full = (1 << n) - 1
+    x, y = r.getrandbits(n), r.getrandbits(n)
+    pairs = []
+    for kind in CHAIN_CYCLE * cycles:
+        d = x ^ y
+        if (kind == "remove" and not d) or (kind == "add" and d == full):
+            kind = "add" if kind == "remove" else "remove"
+        if kind in ("remove", "add"):
+            x ^= 1 << r.choice([i for i in range(n) if (d >> i & 1) == (kind == "remove")])
+            pairs.append((x, y))
+        elif kind == "unrelated":
+            pairs.append((r.getrandbits(n), r.getrandbits(n)))
+        elif kind == "zero":
+            pairs.append((x, x))
+        else:
+            pairs.append((x, y) if kind == "same" else (y, x))
+    return pairs
+
+
+def run_chain(n: int, seed: int) -> list[tuple[int, dict]]:
+    """The kernel's output and the generator's state after each call."""
+    rng = np.random.default_rng(seed)
+    return [(sample_operator(FLIP_ONE_WHERE_DIFFERENT, pair, n, rng), rng.bit_generator.state)
+            for pair in flip_one_chain(n, seed)]
+
+
 class TestFlipOneWhereDifferent:
+    """The kernel keeps a per-thread memo of the last difference and its set
+    bits' positions; along a chain, after a failed draw and in threads, it
+    must give what the numpy kernel gives on every call."""
+
     @settings(max_examples=400, deadline=None)
     @given(word_pairs(), st.integers(0, 2**64 - 1))
     def test_matches_numpy_kernel(self, pair, seed):
@@ -176,6 +227,54 @@ class TestFlipOneWhereDifferent:
         # the same buffered half-word
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
         assert rng_new.integers(2**63) == rng_old.integers(2**63)
+
+    @pytest.mark.parametrize("n", CHAIN_WIDTHS)
+    def test_chain_matches_numpy_kernel(self, n, monkeypatch):
+        real_below = operators._below
+        fail_next = []
+
+        def below(m, rng):
+            if fail_next:
+                raise fail_next.pop()
+            return real_below(m, rng)
+
+        monkeypatch.setattr(operators, "_thread_memos", operators._ThreadMemos())
+        monkeypatch.setattr(operators, "_below", below)
+        for seed in range(3):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for step, pair in enumerate(flip_one_chain(n, seed)):
+                if step % 7 == 4 and pair[0] != pair[1]:
+                    # the draw fails once; the call after it must still match
+                    fail_next.append(RuntimeError("draw failed"))
+                    with pytest.raises(RuntimeError, match="draw failed"):
+                        sample_operator(FLIP_ONE_WHERE_DIFFERENT, pair, n, rng_new)
+                got = sample_operator(FLIP_ONE_WHERE_DIFFERENT, pair, n, rng_new)
+                want, _ = _k_flip_one(pair, n, (), rng_old)
+                assert got == want, (seed, step)
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, step)
+
+    def test_threads_running_chains_at_once_agree(self):
+        cases = [(n, seed) for seed in range(2) for n in (65, 4096)]
+        want = [run_chain(n, seed) for n, seed in cases]
+        start = threading.Barrier(4)
+        answers = [None] * 4
+
+        def chain(i):
+            start.wait()
+            answers[i] = [run_chain(n, seed) for n, seed in cases]
+
+        threads = [threading.Thread(target=chain, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert answers == [want] * 4
 
 
 class TestFlipOneUniform:
