@@ -22,7 +22,6 @@ __all__ = [
     "random_word",
     "word_unpack",
     "differing_positions",
-    "nth_set_bit",
 ]
 
 
@@ -129,39 +128,3 @@ def differing_positions(wx: int, wy: int, n: int) -> np.ndarray:
     """Sorted positions where the two words disagree."""
     return np.flatnonzero(word_unpack(wx ^ wy, n))
 
-
-# _BYTE_SELECT[b][r]: position of the r-th set bit of the byte b.
-_BYTE_SELECT = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-# _LEVELS[k]: the descent's (half, mask) pairs, half = 2**k down to 8.
-_LEVELS: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def nth_set_bit(word: int, r: int) -> int:
-    """Position of the r-th set bit of ``word``, counting from 0 at position 0.
-
-    Equals ``differing_positions(word, 0, n)[r]`` without leaving integers:
-    the word is halved over power-of-two widths by popcount down to one byte,
-    which a table finishes.  Each mask is no wider than the word it splits.
-    The halves and masks come from ``_LEVELS``, filled once per k, the top
-    level's exponent; it holds masks of about twice the widest word seen
-    (16 KB at n = 65,536).
-    """
-    if word < 0 or r < 0:
-        raise ValueError(f"need a non-negative word and rank, got {word:#x}, {r}")
-    pos = 0
-    k = (word.bit_length() - 1).bit_length() - 1
-    if (levels := _LEVELS.get(k)) is None:
-        levels = _LEVELS[k] = tuple((1 << j, (1 << (1 << j)) - 1) for j in range(k, 2, -1))
-    for half, mask in levels:
-        low = word & mask
-        c = low.bit_count()
-        if r < c:
-            word = low
-        else:
-            r -= c
-            word >>= half
-            pos += half
-    try:
-        return pos + _BYTE_SELECT[word][r]
-    except IndexError:
-        raise ValueError(f"rank {r} is not below the popcount of the word") from None

@@ -19,8 +19,8 @@ beyond that the operations fail loudly instead of degrading.
 ``consistent_words`` enumerates on every call and returns a read-only array.
 Its memo lives in the chooseConsistent kernels in ``operators``, keyed by
 their own arguments, where the repeats are: a statistical certification
-trial alternates between an input set and its image on every sample, and
-one chooseConsistentSub key covers the block projection and enumeration.
+trial draws all samples of an input set in a run, then all of its image's,
+and one chooseConsistentSub key covers the block projection and enumeration.
 """
 
 from __future__ import annotations

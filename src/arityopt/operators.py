@@ -22,16 +22,14 @@ once and stores the arity it gives.
 chooseConsistent draws a uniform index into the ascending ``consistent_words``
 survivors, or a uniform word if there are none; chooseConsistentSub makes
 that draw on its anchors' block, between ``block_projection`` and ``embed_word``.
-Both memoise all before the draw by their own arguments (``_survivors``): they
-alone see the repeats, as a statistical trial alternates two input sets.
+Both memoise all before the draw in one entry keyed by their own arguments
+(``_survivors``), as a statistical trial draws each input set's samples in a run.
 
-flipOneWhereDifferent draws a uniform rank below the popcount of d = x ^ y
-and flips the set bit of d at that rank.  Along pair descent d stays the same
-or loses one bit, so the kernel keeps a one-entry, per-thread memo of the last
-d and the ascending positions of its set bits, built on the second sighting of
-d or of a one-bit neighbour and then kept by one insert or delete per kept
-flip.  A d more than one bit from the memo's is only recorded, and its bit
-is found by ``bitcore.nth_set_bit``, as flipK finds each of its bits.
+flipOneWhereDifferent flips the set bit of d = x ^ y at a uniform rank, and
+flipKWhereDifferent those at the ranks it draws.  Both read d's set bits from
+``_positions``, a one-entry, per-thread memo of the last d and their ascending
+positions.  Along pair descent d stays the same or loses one bit, so the memo
+keeps its positions by one insert or delete per kept flip; any other d is built.
 
 Uniform words (uniformSample, randomWhereDifferent's mask and an empty
 consistent set's word) come from ``bitcore.random_word``, raw 64-bit outputs
@@ -55,7 +53,7 @@ from math import fsum
 
 import numpy as np
 
-from .bitcore import BitString, differing_positions, nth_set_bit, random_word
+from .bitcore import BitString, differing_positions, random_word
 from .consistency import ExactEnumerationUnavailable, block_projection, consistent_words, embed_word
 
 __all__ = [
@@ -124,9 +122,9 @@ def _k_complement(words, n, params, rng):
     return ~words[0] & ((1 << n) - 1)
 
 
-class _FlipOneMemo:
-    """flipOne's last difference ``d`` and ``pos``, the ascending positions
-    of its set bits, or None until they are built."""
+class _PositionsMemo:
+    """The flip kernels' last difference ``d`` and ``pos``, the ascending
+    positions of its set bits, or None until they are built."""
 
     __slots__ = ("d", "pos")
 
@@ -135,30 +133,25 @@ class _FlipOneMemo:
 
 
 class _ThreadMemos(threading.local):
-    """A ``_FlipOneMemo`` per thread, made on the thread's first call.  An
-    attribute of a thread-local costs about three times a slot's, so the
-    kernel reads the thread-local once per call and then the memo's slots."""
+    """A ``_PositionsMemo`` per thread, made on its first call and read once per
+    call: a thread-local's attribute costs about three times a slot's."""
 
     def __init__(self) -> None:
-        self.flip_one = _FlipOneMemo()
+        self.positions = _PositionsMemo()
 
 
 _thread_memos = _ThreadMemos()
 
 
-def _k_flip_one(words, n, params, rng):
-    x, y = words
-    d = x ^ y
-    if not d:
-        return x
-    memo = _thread_memos.flip_one
+def _positions(d: int, n: int) -> array:
+    """The ascending positions of d's set bits: the last call's, kept by one insert
+    or delete if d is at most one bit from its d, else built.  Callers only read it."""
+    memo = _thread_memos.positions
     change = d ^ memo.d
     pos = memo.pos
     memo.pos = None  # cleared first, so d is never paired with another d's positions
     memo.d = d
-    if change & (change - 1):  # more than one bit from the memo's d: record d only
-        return x ^ (1 << nth_set_bit(d, _below(d.bit_count(), rng)))
-    if pos is None:  # the second sighting of d or of a one-bit neighbour
+    if pos is None or change & (change - 1):
         pos = array("q")  # filled in place: a copy through bytes raised peak RSS
         pos.frombytes(differing_positions(d, 0, n).astype(np.int64, copy=False).view(np.uint8))
     elif change:  # a kept flip: one bit left d, or joined it
@@ -169,13 +162,21 @@ def _k_flip_one(words, n, params, rng):
         else:
             del pos[i]
     memo.pos = pos
+    return pos
+
+
+def _k_flip_one(words, n, params, rng):
+    x, y = words
+    if x == y:
+        return x
+    pos = _positions(x ^ y, n)
     return x ^ (1 << pos[_below(len(pos), rng)])
 
 
 def _k_flip_k(words, n, params, rng):
     x, y = words
-    d = x ^ y
-    c = d.bit_count()
+    pos = _positions(x ^ y, n)
+    c = len(pos)
     take = min(params[0], c)
     ranks = set()  # numpy's Floyd draws, then its shuffle's, whose order xor ignores
     for j in range(c - take, c):
@@ -183,10 +184,7 @@ def _k_flip_k(words, n, params, rng):
         ranks.add(j if v in ranks else v)
     for i in range(take - 1, 0, -1):
         _below(i + 1, rng)
-    out = y
-    for r in ranks:
-        out ^= 1 << nth_set_bit(d, r)
-    return out
+    return y ^ sum(1 << pos[r] for r in ranks)  # distinct ranks: the sum is the bits' xor
 
 
 def _k_rwd(words, n, params, rng):
@@ -212,7 +210,7 @@ def _k_flip_one_uniform(words, n, params, rng):
     return words[0] ^ (1 << _below(n, rng))
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _survivors(n: int, words: tuple, params: tuple, family: str):
     """chooseConsistent's ``consistent_words`` survivors, or chooseConsistentSub's
     block, ``outside`` and block survivors; the memo of both kernels."""

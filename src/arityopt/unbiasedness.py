@@ -15,15 +15,15 @@ at every word w: ``arange(2**n)`` as a ``(2,)*n`` tensor, transposed.
 ``_deviation`` gives the max |p - q| that dict pmfs over ``BitString``
 outputs give, so every deviation and report is theirs.
 
-A statistical trial draws its two samples interleaved, every draw through
-``operators.sample_operator``, whose chooseConsistent kernels memoise their
-survivors (only they see the operator's definition), and then maps and
-profiles them in one pass over an array of int64 words (of Python ints from
-n = 64 on): side 1 is pushed through the automorphism by ``permute_words``,
-and every sample becomes a row of Hamming distances counted by
-``np.bitwise_count``, whose lexicographic rank is its cell.  The two sides'
-cell counts are compared by Pearson's chi-square test, computed with
-``math.erfc``, ``math.exp`` and ``math.lgamma``.
+A statistical trial draws all of side 1's samples, then all of side 2's,
+every draw through ``operators.sample_operator``, so each kernel's one-entry
+memo builds once per side.  The trial then maps and profiles them in one
+pass over an array of int64 words (of Python ints from n = 64 on): side 1 is
+pushed through the automorphism by ``permute_words``, and every sample
+becomes a row of Hamming distances counted by ``np.bitwise_count``, whose
+lexicographic rank is its cell.  The two sides' cell counts are compared by
+Pearson's chi-square test, computed with ``math.erfc``, ``math.exp`` and
+``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ def _support(op, words: list[int], n: int) -> np.ndarray:
     if op.name == NEGATIVE_CONTROL_NAME:
         return np.array([(1 << n) - 1])
     return output_support(op, words, n)
-
-
-def _control_sample(inputs, n, rng):
-    return (1 << n) - 1
 
 
 def _word_table(sigma: Permutation) -> np.ndarray:
@@ -209,8 +205,8 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     """Two-sample comparison of op(inputs) pushed through an automorphism
     against op on the transformed inputs.  Returns (p value, max freq diff).
 
-    The loop only draws: the samples of the two sides interleave, each
-    through ``sample_operator``.  Afterwards one array pass, on int64 words
+    The loops only draw, each sample through ``sample_operator``: all of
+    side 1's, then all of side 2's.  Afterwards one array pass, on int64 words
     for n < 64 and on Python ints above, maps and profiles them: side 1 is
     pushed through the automorphism, and every sample becomes its popcount
     and its distances to the transformed inputs.  The cells are the
@@ -220,15 +216,11 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     sigma = Permutation.random(n, rng)
     z = random_word(n, rng)
     ref = [apply_permutation(sigma, w) ^ z for w in in_words]
-    sample = (
-        _control_sample
-        if op.name == NEGATIVE_CONTROL_NAME
-        else lambda ws, m, g: sample_operator(op, ws, m, g)
-    )
-    w1, w2 = [], []
-    for _ in range(samples):
-        w1.append(sample(in_words, n, rng))
-        w2.append(sample(ref, n, rng))
+    if op.name == NEGATIVE_CONTROL_NAME:  # all-ones, drawing nothing
+        w1 = w2 = [(1 << n) - 1] * samples
+    else:
+        w1 = [sample_operator(op, in_words, n, rng) for _ in range(samples)]
+        w2 = [sample_operator(op, ref, n, rng) for _ in range(samples)]
     words = np.array(w1 + w2, dtype=np.int64 if n < 64 else object)
     words[:samples] = permute_words(sigma, words[:samples]) ^ z
     rows = [np.bitwise_count(words)] + [np.bitwise_count(words ^ r) for r in ref]
@@ -247,16 +239,14 @@ def _statistical_trial(family, n, rng, samples: int) -> tuple[float, float]:
     return _chi2_contingency_p(a, b), dev
 
 
-def certify_operator(op, n: int, trials: int, rng, mode: str | None = None) -> CertificationReport:
-    """Certify one operator family over random trials.
+def certify_operator(family: str, n: int, trials: int, rng, mode: str | None = None) -> CertificationReport:
+    """Certify one operator family, given by name, over random trials.
 
-    ``op`` may be a family name or an OperatorId (its name selects the
-    family).  Exact mode compares supports for both invariance conditions on
+    Exact mode compares supports for both invariance conditions on
     random (inputs, z, sigma); it applies for n <= 16.  Statistical mode
     compares sampler frequencies under random automorphisms and applies at
     any n; failures there are statistical evidence, not proof.
     """
-    family = op if isinstance(op, str) else op.name
     if family != NEGATIVE_CONTROL_NAME and family not in SHIPPED_OPERATOR_FAMILIES:
         raise ValueError(f"unknown operator family {family!r}")
     if n < 1:

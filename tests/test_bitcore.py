@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arityopt import bitcore
 from arityopt.bitcore import (
     BitString,
     Permutation,
     apply_permutation,
     differing_positions,
-    nth_set_bit,
     random_word,
     word_unpack,
 )
@@ -170,90 +165,3 @@ class TestWordHelpers:
         d = differing_positions(0b1100, 0b1010, 4)
         assert d.tolist() == [1, 2]
         assert differing_positions(7, 7, 3).size == 0
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.integers(1, 300), st.sampled_from([4096, 16384])), st.data())
-    def test_nth_set_bit_matches_differing_positions(self, n, data):
-        w = data.draw(st.integers(1, (1 << n) - 1))
-        pos = differing_positions(w, 0, n)
-        r = data.draw(st.integers(0, pos.size - 1))
-        assert nth_set_bit(w, r) == int(pos[r])
-        assert nth_set_bit(w, 0) == int(pos[0])
-        assert nth_set_bit(w, pos.size - 1) == int(pos[-1])
-
-    def test_nth_set_bit_rejects_out_of_range(self):
-        for word, r in ((0, 0), (0b1011, 3), (1 << 300, 1), (0b1, -1), (-1, 0)):
-            with pytest.raises(ValueError):
-                nth_set_bit(word, r)
-
-
-# Widths 2**k - 1, 2**k and 2**k + 1 for k = 3..17: each k gives the word one
-# more level of the descent, so every level count from 0 to 15 is reached
-SELECT_WIDTHS = [n for k in range(3, 18) for n in (2**k - 1, 2**k, 2**k + 1)]
-
-
-def select_cases(seed: int = 0) -> list[tuple[int, int, int]]:
-    """(word, rank, position) at ranks 0, c - 1 and a drawn rank of a uniform
-    word with its top bit set, at each of SELECT_WIDTHS."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    for n in SELECT_WIDTHS:
-        word = random_word(n, rng) | 1 << (n - 1)
-        pos = differing_positions(word, 0, n)
-        for r in (0, pos.size - 1, int(rng.integers(pos.size))):
-            cases.append((word, r, int(pos[r])))
-    return cases
-
-
-class TestSelectLevels:
-    """nth_set_bit reads its halves and masks from a table filled on first
-    use per level count; its answers may depend neither on the order the
-    table was filled in nor on threads filling it at once."""
-
-    def test_matches_differing_positions_at_every_level_count(self):
-        for word, r, want in select_cases():
-            assert nth_set_bit(word, r) == want, (word.bit_length(), r)
-
-    def test_answers_do_not_depend_on_the_fill_order(self, monkeypatch):
-        cases = select_cases(1)
-        tables = []
-        for order in (cases[::-1], cases):  # wide first, then narrow first
-            monkeypatch.setattr(bitcore, "_LEVELS", {})
-            for word, r, want in order:
-                assert nth_set_bit(word, r) == want, (word.bit_length(), r)
-            tables.append(bitcore._LEVELS)
-        assert tables[0] == tables[1]
-
-    def test_threads_filling_a_fresh_table_agree(self, monkeypatch):
-        cases = select_cases(2)
-        monkeypatch.setattr(bitcore, "_LEVELS", {})
-        start = threading.Barrier(4)
-        answers = [None] * 4
-
-        def fill(i):
-            start.wait()
-            order = cases if i % 2 else cases[::-1]
-            answers[i] = sorted((w, r, nth_set_bit(w, r)) for w, r, _ in order)
-
-        threads = [threading.Thread(target=fill, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert answers == [sorted(cases)] * 4
-
-    def test_rejects_out_of_range_on_a_fresh_table(self, monkeypatch):
-        monkeypatch.setattr(bitcore, "_LEVELS", {})
-        for n in SELECT_WIDTHS:
-            word = (1 << n) - 1
-            for r in (n, n + 1, -1):
-                with pytest.raises(ValueError):
-                    nth_set_bit(word, r)
-        with pytest.raises(ValueError):
-            nth_set_bit(-1 << 20, 0)

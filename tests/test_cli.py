@@ -234,6 +234,32 @@ class TestCheckBound:
         assert f"configuration error: {message}" in proc.stderr
         assert proc.stdout == ""
 
+    def test_output_at_two_to_the_20_is_pinned(self, capsys):
+        # the bytes printed before log2_binomial and the central term moved
+        # onto Stirling's series
+        assert cli.main(["check-bound", "--n", "1048576"]) == 0
+        assert capsys.readouterr().out == (
+            "n=1048576 t=195496 grid_points=1087\n"
+            "rhs_log2=-146622\n"
+            "min_margin_log2=48835 at d=2\n"
+            "bound: holds\n"
+        )
+
+    @pytest.mark.parametrize("e", [50, 56, 60, 63, 64, 80])
+    def test_holds_at_large_n(self, capsys, e):
+        # lgamma's differences cancelled from n = 2**50 (a margin of -3.15e14
+        # in place of +1.63e13), and numpy rejected the grid from 2**63
+        assert cli.main(["check-bound", "--n", str(2**e)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("at d=2\nbound: holds\n")
+
+    @pytest.mark.parametrize("n", [2**1022, 2**1100])
+    def test_n_too_large_for_a_float_exits_1(self, capsys, n):
+        assert cli.main(["check-bound", "--n", str(n)]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: n must be below 2**1022" in captured.err
+        assert captured.out == ""
+
     def test_tiny_n_violation_exits_3(self):
         # the asymptotic inequality may genuinely fail at tiny sizes
         proc = run_cli("check-bound", "--n", "4")

@@ -1,12 +1,12 @@
 """The pure-int hot path against the numpy code it replaced.
 
-``flipOneWhereDifferent`` reads its flipped bit from a per-thread memo of
-the last ``d = x ^ y`` and the ascending positions of its set bits, kept by
-one insert or delete as pair descent adds or removes a bit of d, and
-otherwise finds it with ``bitcore.nth_set_bit``; it is checked call by call
-along pair-descent-shaped chains, after a failed draw and in threads.
-``flipKWhereDifferent`` flips the set bits of ``x ^ y`` at the ranks it
-draws, each found by ``nth_set_bit``.  Monotone evaluation sums its
+``flipOneWhereDifferent`` and ``flipKWhereDifferent`` read the set bits of
+``d = x ^ y`` from one per-thread memo of the last d and the ascending
+positions of its set bits, kept by one insert or delete as pair descent
+adds or removes a bit of d, and built afresh for any other d; flipOne
+flips the bit at its drawn rank, flipK the bits at its drawn ranks.  Both
+are checked call by call along pair-descent-shaped chains that mix the two
+kernels, after a failed draw and in threads.  Monotone evaluation sums its
 integer weights by popcount over one int slice per weight bit; it is checked
 against an exact Python sum over the agreeing positions.  Bounded draws
 (``operators._below``, in ``flipOneWhereDifferent``, ``flipOneUniform`` and
@@ -27,8 +27,9 @@ seeded runs keep their query counts and output bytes.  The earlier code is
 kept here verbatim as the oracle; the second value its kernels return is a
 draw record, which the comparisons ignore.  The replicas depend on how numpy
 draws, so CI also runs ``TestBoundedDraw`` (``_below``),
-``TestFlipOneWhereDifferent``, ``TestFlipKDraw`` and ``TestPairDescentCoin``
-on numpy 2.0, the oldest numpy the package allows.
+``TestFlipOneWhereDifferent``, ``TestFlipKWhereDifferent``, ``TestFlipKDraw``
+and ``TestPairDescentCoin`` on numpy 2.0, the oldest numpy the package
+allows.
 
 ``bitcore.random_word`` replicates no numpy method: it is ceil(n / 64) raw
 64-bit outputs joined little-endian, and it leaves PCG64's buffered half-word
@@ -172,47 +173,56 @@ def word_pairs(draw):
     return n, x, x ^ d
 
 
-# One cycle of a pair-descent-shaped chain: the pair as it stands, in either
-# order; a kept flip, which takes one bit out of d = x ^ y or adds one; an
-# unrelated pair, after which the chain's d is seen again; and d = 0.
-CHAIN_CYCLE = ("same", "remove", "swap", "add", "unrelated", "same", "same", "remove", "zero",
-               "remove")
+# One cycle of a chain of flip-kernel calls, shaped as pair descent makes
+# them: the pair as it stands, in either order; a kept flip, which takes one
+# bit out of d = x ^ y or adds one; an unrelated pair, after which the chain's
+# d is seen again; and d = 0.  flipK calls ride along, on the pair as it
+# stands, after a kept flip and on an unrelated pair, and share the memo.
+CHAIN_CYCLE = ("same", "remove", "swap", "add", "flipk", "unrelated", "same", "remove",
+               "flipk", "same", "flipk_unrelated", "zero", "remove")
 CHAIN_WIDTHS = (1, 63, 64, 65, 4096)
+NUMPY_FLIP_KERNELS = {"flipOneWhereDifferent": _k_flip_one, "flipKWhereDifferent": _k_flip_k}
 
 
-def flip_one_chain(n: int, seed: int, cycles: int = 4) -> list[tuple[int, int]]:
-    """The (x, y) pairs of a chain at width n, as ``CHAIN_CYCLE`` lays out."""
+def flip_chain(n: int, seed: int, cycles: int = 4) -> list[tuple[operators.OperatorId, tuple[int, int]]]:
+    """The (operator, (x, y)) calls of a chain at width n, as ``CHAIN_CYCLE``
+    lays out; a flipK call takes 0 to 5 bits."""
     r = random.Random(seed)
     full = (1 << n) - 1
     x, y = r.getrandbits(n), r.getrandbits(n)
-    pairs = []
+    calls = []
     for kind in CHAIN_CYCLE * cycles:
         d = x ^ y
+        op = FLIP_ONE_WHERE_DIFFERENT
+        if kind.startswith("flipk"):
+            op = flip_k_id(r.randrange(6))
+            kind = kind[6:] or "same"
         if (kind == "remove" and not d) or (kind == "add" and d == full):
             kind = "add" if kind == "remove" else "remove"
         if kind in ("remove", "add"):
             x ^= 1 << r.choice([i for i in range(n) if (d >> i & 1) == (kind == "remove")])
-            pairs.append((x, y))
+            calls.append((op, (x, y)))
         elif kind == "unrelated":
-            pairs.append((r.getrandbits(n), r.getrandbits(n)))
+            calls.append((op, (r.getrandbits(n), r.getrandbits(n))))
         elif kind == "zero":
-            pairs.append((x, x))
+            calls.append((op, (x, x)))
         else:
-            pairs.append((x, y) if kind == "same" else (y, x))
-    return pairs
+            calls.append((op, (x, y) if kind == "same" else (y, x)))
+    return calls
 
 
 def run_chain(n: int, seed: int) -> list[tuple[int, dict]]:
-    """The kernel's output and the generator's state after each call."""
+    """The kernels' output and the generator's state after each call."""
     rng = np.random.default_rng(seed)
-    return [(sample_operator(FLIP_ONE_WHERE_DIFFERENT, pair, n, rng), rng.bit_generator.state)
-            for pair in flip_one_chain(n, seed)]
+    return [(sample_operator(op, pair, n, rng), rng.bit_generator.state)
+            for op, pair in flip_chain(n, seed)]
 
 
 class TestFlipOneWhereDifferent:
-    """The kernel keeps a per-thread memo of the last difference and its set
-    bits' positions; along a chain, after a failed draw and in threads, it
-    must give what the numpy kernel gives on every call."""
+    """The flip kernels read d's set bits from a per-thread memo of the last
+    difference and their positions; along a chain of flipOne and flipK
+    calls, after a failed draw and in threads, each must give what its numpy
+    kernel gives on every call."""
 
     @settings(max_examples=400, deadline=None)
     @given(word_pairs(), st.integers(0, 2**64 - 1))
@@ -240,18 +250,23 @@ class TestFlipOneWhereDifferent:
 
         monkeypatch.setattr(operators, "_thread_memos", operators._ThreadMemos())
         monkeypatch.setattr(operators, "_below", below)
+        kinds = set()
         for seed in range(3):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            for step, pair in enumerate(flip_one_chain(n, seed)):
-                if step % 7 == 4 and pair[0] != pair[1]:
+            for step, (op, pair) in enumerate(flip_chain(n, seed)):
+                draws = pair[0] != pair[1] and (op.params is None or op.params[0] > 0)
+                if step % 7 == 4 and draws:
                     # the draw fails once; the call after it must still match
                     fail_next.append(RuntimeError("draw failed"))
                     with pytest.raises(RuntimeError, match="draw failed"):
-                        sample_operator(FLIP_ONE_WHERE_DIFFERENT, pair, n, rng_new)
-                got = sample_operator(FLIP_ONE_WHERE_DIFFERENT, pair, n, rng_new)
-                want, _ = _k_flip_one(pair, n, (), rng_old)
+                        sample_operator(op, pair, n, rng_new)
+                    kinds.add(op.name)
+                got = sample_operator(op, pair, n, rng_new)
+                want, _ = NUMPY_FLIP_KERNELS[op.name](pair, n, op.params, rng_old)
                 assert got == want, (seed, step)
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, step)
+        # a draw failed in both kernels
+        assert kinds == set(NUMPY_FLIP_KERNELS)
 
     def test_threads_running_chains_at_once_agree(self):
         cases = [(n, seed) for seed in range(2) for n in (65, 4096)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arityopt import operators, unbiasedness
 from arityopt.bitcore import BitString, Permutation
 from arityopt.consistency import ExactEnumerationUnavailable
 from arityopt.operators import (
@@ -127,3 +128,31 @@ class TestCertifyOperator:
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match=f"n={n}"):
             certify_operator("complement", n, 5, rng)
+
+
+class TestStatisticalTrialMemos:
+    """A statistical trial draws all of side 1's samples, then all of side
+    2's, so each kernel's one-entry memo builds its positions, or enumerates
+    its survivors, once per side, and side 1 first."""
+
+    @pytest.mark.parametrize("family, builder", [
+        ("flipOneWhereDifferent", "differing_positions"),
+        ("flipKWhereDifferent", "differing_positions"),
+        ("chooseConsistent", "consistent_words"),
+        ("chooseConsistentSub", "consistent_words"),
+    ])
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_one_build_per_side(self, monkeypatch, family, builder, n):
+        calls, real = [], getattr(operators, builder)
+        monkeypatch.setattr(operators, builder, lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(operators, "_thread_memos", operators._ThreadMemos())
+        operators._survivors.cache_clear()
+        for seed in range(3):
+            calls.clear()
+            unbiasedness._statistical_trial(family, n, np.random.default_rng([seed, n]), samples=2000)
+            assert len(calls) == 2, (seed, len(calls))
+            op, words = unbiasedness._trial_case(family, n, np.random.default_rng([seed, n]))
+            if builder == "differing_positions":
+                assert calls[0] == (words[0] ^ words[1], 0, n), seed
+            elif family == "chooseConsistent":
+                assert calls[0] == (n, tuple(words), op.params), seed
