@@ -27,9 +27,12 @@ Both memoise all before the draw in one entry keyed by their own arguments
 
 flipOneWhereDifferent flips the set bit of d = x ^ y at a uniform rank, and
 flipKWhereDifferent those at the ranks it draws.  Both read d's set bits from
-``_positions``, a one-entry, per-thread memo of the last d and their ascending
-positions.  Along pair descent d stays the same or loses one bit, so the memo
-keeps its positions by one insert or delete per kept flip; any other d is built.
+``_positions``, a one-entry, per-thread memo keyed on the last parent pair,
+which holds their ascending positions and flipOne's last output and drawn
+index.  Along pair descent the next pair is the same one, in either order, or
+has that output in place of the parent flipOne flipped; the first reads the
+positions as they are and the second deletes the drawn index.  Any other pair
+is built.
 
 Uniform words (uniformSample, randomWhereDifferent's mask and an empty
 consistent set's word) come from ``bitcore.random_word``, raw 64-bit outputs
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import fsum
@@ -123,13 +125,14 @@ def _k_complement(words, n, params, rng):
 
 
 class _PositionsMemo:
-    """The flip kernels' last difference ``d`` and ``pos``, the ascending
-    positions of its set bits, or None until they are built."""
+    """The flip kernels' last parents ``x`` and ``y``; ``pos``, the ascending
+    positions of the set bits of x ^ y, or None until they are built; and
+    flipOne's last output ``out``, x flipped at ``pos[i]``, or None."""
 
-    __slots__ = ("d", "pos")
+    __slots__ = ("x", "y", "pos", "out", "i")
 
     def __init__(self) -> None:
-        self.d, self.pos = 0, None
+        self.x = self.y = self.pos = self.out = self.i = None
 
 
 class _ThreadMemos(threading.local):
@@ -143,39 +146,37 @@ class _ThreadMemos(threading.local):
 _thread_memos = _ThreadMemos()
 
 
-def _positions(d: int, n: int) -> array:
-    """The ascending positions of d's set bits: the last call's, kept by one insert
-    or delete if d is at most one bit from its d, else built.  Callers only read it."""
-    memo = _thread_memos.positions
-    change = d ^ memo.d
-    pos = memo.pos
-    memo.pos = None  # cleared first, so d is never paired with another d's positions
-    memo.d = d
-    if pos is None or change & (change - 1):
+def _positions(memo: _PositionsMemo, x: int, y: int, n: int) -> array:
+    """The ascending positions of the set bits of x ^ y: the memo's own if (x, y)
+    is its pair in either order, less index ``i`` if flipOne's last output took
+    the place of the parent it flipped, else built.  Callers only read them."""
+    a, b, pos, out = memo.x, memo.y, memo.pos, memo.out
+    memo.pos = memo.out = None  # cleared first: no pair holds another's positions or draw
+    if pos is not None and (x == a and y == b or x == b and y == a):
+        pass  # the same pair: a rejected flip
+    elif out is not None and (x == out and y == b or x == b and y == out):
+        del pos[memo.i]  # a kept flip: that bit left the difference
+    else:
         pos = array("q")  # filled in place: a copy through bytes raised peak RSS
-        pos.frombytes(differing_positions(d, 0, n).astype(np.int64, copy=False).view(np.uint8))
-    elif change:  # a kept flip: one bit left d, or joined it
-        p = change.bit_length() - 1
-        i = bisect_left(pos, p)
-        if d & change:
-            pos.insert(i, p)
-        else:
-            del pos[i]
-    memo.pos = pos
+        pos.frombytes(differing_positions(x ^ y, 0, n).astype(np.int64, copy=False).view(np.uint8))
+    memo.x, memo.y, memo.pos = x, y, pos
     return pos
 
 
 def _k_flip_one(words, n, params, rng):
     x, y = words
-    if x == y:
+    memo = _thread_memos.positions
+    pos = _positions(memo, x, y, n)
+    if not pos:
         return x
-    pos = _positions(x ^ y, n)
-    return x ^ (1 << pos[_below(len(pos), rng)])
+    i = memo.i = _below(len(pos), rng)
+    memo.out = out = x ^ (1 << pos[i])
+    return out
 
 
 def _k_flip_k(words, n, params, rng):
     x, y = words
-    pos = _positions(x ^ y, n)
+    pos = _positions(_thread_memos.positions, x, y, n)
     c = len(pos)
     take = min(params[0], c)
     ranks = set()  # numpy's Floyd draws, then its shuffle's, whose order xor ignores

@@ -1,12 +1,15 @@
 """The pure-int hot path against the numpy code it replaced.
 
 ``flipOneWhereDifferent`` and ``flipKWhereDifferent`` read the set bits of
-``d = x ^ y`` from one per-thread memo of the last d and the ascending
-positions of its set bits, kept by one insert or delete as pair descent
-adds or removes a bit of d, and built afresh for any other d; flipOne
+``d = x ^ y`` from one per-thread memo keyed on the last parent pair, which
+holds the ascending positions of d's set bits and flipOne's last output and
+drawn index.  The same pair, in either order, reads the positions as they
+are; the pair with that output in place of the parent flipOne flipped (a
+kept flip) deletes the drawn index; any other pair is built afresh.  flipOne
 flips the bit at its drawn rank, flipK the bits at its drawn ranks.  Both
 are checked call by call along pair-descent-shaped chains that mix the two
-kernels, after a failed draw and in threads.  Monotone evaluation sums its
+kernels, with kept and rejected flips, after a failed draw and in threads,
+and one pair-descent run must build its positions once.  Monotone evaluation sums its
 integer weights by popcount over one int slice per weight bit; it is checked
 against an exact Python sum over the agreeing positions.  Bounded draws
 (``operators._below``, in ``flipOneWhereDifferent``, ``flipOneUniform`` and
@@ -27,9 +30,9 @@ seeded runs keep their query counts and output bytes.  The earlier code is
 kept here verbatim as the oracle; the second value its kernels return is a
 draw record, which the comparisons ignore.  The replicas depend on how numpy
 draws, so CI also runs ``TestBoundedDraw`` (``_below``),
-``TestFlipOneWhereDifferent``, ``TestFlipKWhereDifferent``, ``TestFlipKDraw``
-and ``TestPairDescentCoin`` on numpy 2.0, the oldest numpy the package
-allows.
+``TestFlipOneWhereDifferent`` (its kept-flip chains among them),
+``TestPairDescentBuilds``, ``TestFlipKWhereDifferent``, ``TestFlipKDraw`` and
+``TestPairDescentCoin`` on numpy 2.0, the oldest numpy the package allows.
 
 ``bitcore.random_word`` replicates no numpy method: it is ceil(n / 64) raw
 64-bit outputs joined little-endian, and it leaves PCG64's buffered half-word
@@ -43,6 +46,7 @@ verbatim to show it.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import threading
@@ -53,7 +57,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arityopt import operators
-from arityopt.algorithms import EngineState, _anchor_pair, _pair_descent
+from arityopt.algorithms import EngineState, _anchor_pair, _pair_descent, run_binary_onemax
 from arityopt.bitcore import BitString, Permutation, random_word
 from arityopt.operators import (
     FLIP_ONE_UNIFORM,
@@ -174,55 +178,106 @@ def word_pairs(draw):
 
 
 # One cycle of a chain of flip-kernel calls, shaped as pair descent makes
-# them: the pair as it stands, in either order; a kept flip, which takes one
-# bit out of d = x ^ y or adds one; an unrelated pair, after which the chain's
-# d is seen again; and d = 0.  flipK calls ride along, on the pair as it
-# stands, after a kept flip and on an unrelated pair, and share the memo.
-CHAIN_CYCLE = ("same", "remove", "swap", "add", "flipk", "unrelated", "same", "remove",
-               "flipk", "same", "flipk_unrelated", "zero", "remove")
+# them.  The chain's pair (x, y) is called as it stands ("same") or swapped
+# ("swap"), a rejected flip either way.  A kept flip puts the last flipOne
+# output on the pair in place of the parent it flipped, and calls it as
+# (out, other) ("kept") or (other, out) ("kept_swap").  "second" and
+# "second_swap" call that output with the parent that flipOne did flip, which
+# is no kept flip.  "remove" and "add" take one bit out of d = x ^ y or add one
+# that flipOne did not draw; "unrelated" calls a random pair and "zero" d = 0.
+# "other" calls a random word against the other parent of the last flipOne,
+# whose draw fails in "fail_other", before a kept flip.  flipK calls ride
+# along, on the pair as it stands, beside that other parent and on an
+# unrelated pair, and share the memo.
+CHAIN_CYCLE = ("same", "kept", "swap", "kept_swap", "kept", "remove", "swap", "same", "kept",
+               "add", "second", "flipk", "same", "second_swap", "swap", "kept_swap",
+               "flipk_other", "kept", "unrelated", "same", "fail_other", "kept", "flipk",
+               "swap", "kept", "flipk_unrelated", "zero", "remove", "swap")
 CHAIN_WIDTHS = (1, 63, 64, 65, 4096)
 NUMPY_FLIP_KERNELS = {"flipOneWhereDifferent": _k_flip_one, "flipKWhereDifferent": _k_flip_k}
 
 
-def flip_chain(n: int, seed: int, cycles: int = 4) -> list[tuple[operators.OperatorId, tuple[int, int]]]:
-    """The (operator, (x, y)) calls of a chain at width n, as ``CHAIN_CYCLE``
-    lays out; a flipK call takes 0 to 5 bits."""
+class FailingDraws:
+    """A generator whose first draw raises, as ``_below`` reads its bit generator."""
+
+    @property
+    def bit_generator(self):
+        raise RuntimeError("draw failed")
+
+
+def flip_chain(n: int, seed: int, call, cycles: int = 4) -> None:
+    """Makes the calls of a chain at width n, as ``CHAIN_CYCLE`` lays out:
+    ``call(op, (x, y))`` makes one and returns its output, and
+    ``call(op, (x, y), fails=True)`` one whose draw fails, on a pair with at
+    least two differing bits.  A flipK call takes 0 to 5 bits."""
     r = random.Random(seed)
     full = (1 << n) - 1
     x, y = r.getrandbits(n), r.getrandbits(n)
-    calls = []
+    last = None  # (flipped parent, other parent, output) of the last flipOne on the pair
     for kind in CHAIN_CYCLE * cycles:
         d = x ^ y
-        op = FLIP_ONE_WHERE_DIFFERENT
-        if kind.startswith("flipk"):
-            op = flip_k_id(r.randrange(6))
-            kind = kind[6:] or "same"
+        op, fails = FLIP_ONE_WHERE_DIFFERENT, kind.startswith("fail")
+        if kind.startswith(("flipk", "fail")):
+            if not fails:
+                op = flip_k_id(r.randrange(6))
+            kind = kind.partition("_")[2] or "same"
+        if last is None and kind.startswith(("kept", "second", "other")):
+            kind = "same"
         if (kind == "remove" and not d) or (kind == "add" and d == full):
             kind = "add" if kind == "remove" else "remove"
         if kind in ("remove", "add"):
             x ^= 1 << r.choice([i for i in range(n) if (d >> i & 1) == (kind == "remove")])
-            calls.append((op, (x, y)))
+            pair = (x, y)
         elif kind == "unrelated":
-            calls.append((op, (r.getrandbits(n), r.getrandbits(n))))
+            pair = (r.getrandbits(n), r.getrandbits(n))
         elif kind == "zero":
-            calls.append((op, (x, x)))
+            pair = (x, x)
+        elif kind.startswith("kept"):
+            flipped, other, out = last
+            x, y = (out, other) if (flipped, other) == (x, y) else (other, out)
+            pair = (out, other) if kind == "kept" else (other, out)
+        elif kind.startswith("second"):
+            flipped, _, out = last
+            pair = (flipped, out) if kind == "second" else (out, flipped)
+        elif kind == "other":
+            pair = (r.getrandbits(n), last[1])
+            fails = fails and (pair[0] ^ pair[1]).bit_count() > 1
         else:
-            calls.append((op, (x, y) if kind == "same" else (y, x)))
-    return calls
+            pair = (x, y) if kind == "same" else (y, x)
+        if fails:
+            call(op, pair, fails=True)
+            continue
+        out = call(op, pair)
+        if op is FLIP_ONE_WHERE_DIFFERENT and pair in ((x, y), (y, x)):
+            last = (*pair, out)
 
 
-def run_chain(n: int, seed: int) -> list[tuple[int, dict]]:
-    """The kernels' output and the generator's state after each call."""
+def run_chain(n: int, seed: int) -> list:
+    """The kernels' output and the generator's state after each call, or None
+    for each call whose draw fails."""
     rng = np.random.default_rng(seed)
-    return [(sample_operator(op, pair, n, rng), rng.bit_generator.state)
-            for op, pair in flip_chain(n, seed)]
+    results = []
+
+    def call(op, pair, fails=False):
+        if fails:
+            with pytest.raises(RuntimeError, match="draw failed"):
+                sample_operator(op, pair, n, FailingDraws())
+            results.append(None)
+            return None
+        out = sample_operator(op, pair, n, rng)
+        results.append((out, rng.bit_generator.state))
+        return out
+
+    flip_chain(n, seed, call)
+    return results
 
 
 class TestFlipOneWhereDifferent:
-    """The flip kernels read d's set bits from a per-thread memo of the last
-    difference and their positions; along a chain of flipOne and flipK
-    calls, after a failed draw and in threads, each must give what its numpy
-    kernel gives on every call."""
+    """The flip kernels read the set bits of x ^ y from a per-thread memo keyed
+    on the last parent pair, which also holds flipOne's last output and draw;
+    along a chain of flipOne and flipK calls with kept and rejected flips,
+    after a failed draw and in threads, each must give what its numpy kernel
+    gives on every call."""
 
     @settings(max_examples=400, deadline=None)
     @given(word_pairs(), st.integers(0, 2**64 - 1))
@@ -253,7 +308,14 @@ class TestFlipOneWhereDifferent:
         kinds = set()
         for seed in range(3):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            for step, (op, pair) in enumerate(flip_chain(n, seed)):
+            steps = itertools.count()
+
+            def call(op, pair, fails=False):
+                step = next(steps)
+                if fails:
+                    with pytest.raises(RuntimeError, match="draw failed"):
+                        sample_operator(op, pair, n, FailingDraws())
+                    return None
                 draws = pair[0] != pair[1] and (op.params is None or op.params[0] > 0)
                 if step % 7 == 4 and draws:
                     # the draw fails once; the call after it must still match
@@ -265,6 +327,9 @@ class TestFlipOneWhereDifferent:
                 want, _ = NUMPY_FLIP_KERNELS[op.name](pair, n, op.params, rng_old)
                 assert got == want, (seed, step)
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state, (seed, step)
+                return got
+
+            flip_chain(n, seed, call)
         # a draw failed in both kernels
         assert kinds == set(NUMPY_FLIP_KERNELS)
 
@@ -290,6 +355,28 @@ class TestFlipOneWhereDifferent:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert answers == [want] * 4
+
+
+class TestPairDescentBuilds:
+    """Pair descent hands the flip kernel either the memo's own pair, in
+    either order, or that pair with flipOne's last output in place of the
+    parent it flipped; so one ``binary_onemax`` run builds its positions
+    once, on its first flipOne call, whose parents x and its complement differ
+    in every bit."""
+
+    @pytest.mark.parametrize("kind", ["onemax", "monotone"])
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_one_build_per_run(self, monkeypatch, kind, n):
+        calls, real = [], operators.differing_positions
+        monkeypatch.setattr(operators, "differing_positions", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(operators, "_thread_memos", operators._ThreadMemos())
+        for seed in range(2):
+            calls.clear()
+            # about 2n queries; the budget ends a run that a broken memo derails
+            oracle = Oracle(random_instance(kind, n, seed), 4 * n, keep_history=False)
+            record = run_binary_onemax(n, oracle, np.random.default_rng([seed, 1]), seed=seed)
+            assert record.success and record.queries > n, (seed, record)
+            assert calls == [((1 << n) - 1, 0, n)], (seed, len(calls))
 
 
 class TestFlipOneUniform:
