@@ -98,7 +98,7 @@ class PointHandle:
     """A queried point as a policy holds it: opaque, made only by
     :meth:`EngineState.apply`, and accepted only by the engine that made it."""
 
-    __slots__ = ("_word", "_engine")
+    __slots__ = ("_word", "_fit", "_engine")
 
 
 class EngineState:
@@ -133,15 +133,17 @@ class EngineState:
             if type(h) is not PointHandle or h._engine is not self:
                 raise ValueError(f"invalid point handle {h!r}")
             words.append(h._word)
-        # the oracle checks the budget before it counts the query
+        # the oracle checks the budget before it counts the query; given the
+        # first parent, it may take the value from the parent's
         word = sample_operator(op, words, self.n, rng)
-        fit = self._query(word)
+        fit = self._query(word, words[0], parents[0]._fit) if words else self._query(word)
         if fit == self._target:
             raise OptimumReached
         # PointHandle has no __init__: filling its slots here costs less than
         # a constructor call (timeit)
         h = PointHandle()
         h._word = word
+        h._fit = fit
         h._engine = self
         return h, fit
 

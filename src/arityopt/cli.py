@@ -284,12 +284,14 @@ def main(argv: list[str] | None = None) -> int:
         print("arityopt: interrupted", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError:
-        # a MemoryError usually carries no message of its own
-        print(f"arityopt: error: {args.command} ran out of memory (MemoryError)", file=sys.stderr)
-        return EXIT_RUNTIME
+        pass
     except Exception as e:
         print(f"arityopt: error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    # a MemoryError, reported once leaving its handler has freed the frames that
+    # hold what filled the memory; it usually carries no message of its own
+    print(f"arityopt: error: {args.command} ran out of memory (MemoryError)", file=sys.stderr)
+    return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

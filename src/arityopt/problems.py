@@ -13,7 +13,9 @@ The :class:`Oracle` is the only channel between search policies and an
 instance: it counts every evaluation, enforces an optional query budget, and,
 unless it is made with ``keep_history=False``, keeps the query history: each
 queried word with its value.  Search cost is measured purely in oracle
-queries, so there is deliberately no memoization.
+queries, so every query is counted.  There is no memo of past queries, but a
+value may come from the parent that the engine passes in with the query: the
+word itself, or one bit away from it (``step_word``).
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class BudgetExhausted(RuntimeError):
 @dataclass(frozen=True)
 class _HiddenInstance:
     """The hidden string z that every class is defined by, and its length n.
-    Each class defines its own ``evaluate_word``; this base has none."""
+    Each class defines its own ``evaluate_word``, and ``step_word(word, d,
+    fit)``: the value of a word one bit d away from a parent of value fit."""
 
     z: BitString
 
@@ -75,6 +78,9 @@ class OneMaxInstance(_HiddenInstance):
 
     def evaluate_word(self, word: int) -> int:
         return self._n - (word ^ self._zword).bit_count()
+
+    def step_word(self, word: int, d: int, fit: int) -> int:
+        return fit - 1 if (word ^ self._zword) & d else fit + 1
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,21 @@ class LeadingOnesInstance(_HiddenInstance):
         # _prefix_masks[j] covers the positions of the first j slots
         return tuple(accumulate((1 << pos for pos in self.sigma.mapping), int.__or__, initial=0))
 
+    @cached_property
+    def _slots(self) -> tuple[int, ...]:
+        # _slots[pos] is the prefix slot that position pos fills: sigma's inverse
+        return tuple(sorted(range(self._n), key=self.sigma.mapping.__getitem__))
+
     def evaluate_word(self, word: int) -> int:
         # the masks are nested, so diff & masks[j] never decreases in j: the
         # value is the last j before it turns nonzero (n if it never does)
         return bisect_right(self._prefix_masks, 0, key=(word ^ self._zword).__and__) - 1
+
+    def step_word(self, word: int, d: int, fit: int) -> int:
+        # slot fit is the parent's first wrong one: a later slot leaves the
+        # value, an earlier one ends the prefix, and slot fit turns right
+        s = self._slots[d.bit_length() - 1]
+        return fit if s > fit else s if s < fit else self.evaluate_word(word)
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,10 @@ class MonotoneInstance(_HiddenInstance):
             value -= (d & s).bit_count() << b
         return value
 
+    def step_word(self, word: int, d: int, fit: int) -> int:
+        w = self.weights[d.bit_length() - 1]
+        return fit - w if (word ^ self._zword) & d else fit + w
+
 
 class Oracle:
     """Query gate around a hidden instance.
@@ -148,7 +169,7 @@ class Oracle:
     value, in query order, for :attr:`history`; with ``False`` it keeps no
     point, and a run's memory does not grow with its queries.  Policies
     never see this object directly; the engine routes their operator
-    outputs through it.
+    outputs through it, each with its first parent's word and value.
     """
 
     def __init__(self, instance, budget: int | None = None, *, keep_history: bool = True):
@@ -158,6 +179,7 @@ class Oracle:
         # no budget is an infinite one: the query path makes one comparison
         self._budget = math.inf if budget is None else budget
         self._eval = instance.evaluate_word
+        self._step = instance.step_word
         self._history: list[tuple[int, object]] | None = [] if keep_history else None
         self.query_count = 0
 
@@ -178,11 +200,15 @@ class Oracle:
         """The concealed instance; for tests and post-hoc verification only."""
         return self._instance
 
-    def _query_word(self, word: int):
+    def _query_word(self, word: int, parent: int | None = None, parent_fit=None):
         count = self.query_count
         if count >= self._budget:
             raise BudgetExhausted(count)
-        fit = self._eval(word)
+        # a word at most one bit d from its parent takes its value from the parent's
+        if parent is not None and (d := word ^ parent).bit_count() < 2:
+            fit = self._step(word, d, parent_fit) if d else parent_fit
+        else:
+            fit = self._eval(word)
         self.query_count = count + 1
         if self._history is not None:
             self._history.append((word, fit))

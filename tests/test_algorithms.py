@@ -367,6 +367,69 @@ class TestStopRule:
             assert record.queries - 1 in pair
 
 
+STEP_SIZES = {"binary_onemax": 48, "star_ary_onemax": 10, "kary_onemax": 24,
+              "binary_leadingones": 40, "rls": 24}
+STEP_CASES = [(name, class_name) for name, spec in ALGORITHMS.items() for class_name in spec.classes]
+
+
+def run_recorded(name, class_name, seed, budget, monkeypatch):
+    """Run ``name`` at its ``STEP_SIZES`` n (k = 4 for kary_onemax) on a
+    history-keeping oracle, with the default budget if ``budget`` is None;
+    returns the record, the oracle and, per query, the history positions of
+    its parents."""
+    spec, n, calls = ALGORITHMS[name], STEP_SIZES[name], []
+    monkeypatch.setattr(EngineState, "apply", recording_positions(EngineState.apply, calls))
+    oracle = make_oracle(class_name, n, seed, budget or default_budget(n))
+    args = (n,) if spec.k is not None else (n, 4)
+    record = getattr(algorithms, spec.runner)(*args, oracle, split_rng(seed), seed=seed)
+    monkeypatch.undo()
+    return record, oracle, [ps for _, ps in calls]
+
+
+class TestValueFromParent:
+    """The oracle takes a child's value from its first parent's when the two
+    are at most one bit apart: every value must still be the instance's, and
+    every such query must still meet the budget before it is counted."""
+
+    @pytest.mark.parametrize("name,class_name", STEP_CASES)
+    def test_every_value_is_the_instances(self, name, class_name, monkeypatch):
+        distances = set()
+        for seed in range(3):
+            record, oracle, parents = run_recorded(name, class_name, seed, None, monkeypatch)
+            inst = oracle.debug_instance
+            history = [(x.word, f) for x, f in oracle.history]
+            assert record.success and record.queries == len(history) == len(parents)
+            assert [f for _, f in history] == [inst.evaluate_word(w) for w, _ in history]
+            distances |= {(w ^ history[ps[0]][0]).bit_count()
+                          for (w, _), ps in zip(history, parents) if ps}
+        if name != "star_ary_onemax":
+            # the value came from a step at least once; star-ary seldom steps
+            assert 1 in distances
+
+    @pytest.mark.parametrize("name,class_name", STEP_CASES)
+    def test_budget_stops_a_child_near_its_parent(self, name, class_name, monkeypatch):
+        stopped = set()
+        for seed in range(3):
+            _, oracle, parents = run_recorded(name, class_name, seed, None, monkeypatch)
+            words = [x.word for x, _ in oracle.history]
+            first = {}  # distance 0 or 1 from the first parent -> first such query
+            for i, ps in enumerate(parents):
+                if ps and (words[i] ^ words[ps[0]]).bit_count() <= 1:
+                    first.setdefault((words[i] ^ words[ps[0]]).bit_count(), i)
+            for distance, i in first.items():
+                # a budget of i queries: query i, this child, must raise
+                record, oracle, _ = run_recorded(name, class_name, seed, i, monkeypatch)
+                assert record.hit_budget and not record.success
+                assert record.queries == oracle.query_count == i
+                assert [x.word for x, _ in oracle.history] == words[:i]
+                stopped.add(distance)
+        if name != "star_ary_onemax":
+            assert 1 in stopped
+        if name == "binary_leadingones":
+            # switchIfDistanceOne gave back its first parent
+            assert 0 in stopped
+
+
 class TestBinaryOneMaxInvariant:
     def test_agreed_positions_hold_optimal_bits(self):
         # replay the applications: wherever x and y agree, both carry z's bit
@@ -425,10 +488,11 @@ class TestBinaryOneMaxInvariant:
         assert len(calls) - 1 in (hx, hy)
 
 
-def wrap_handle(engine: EngineState, word: int) -> PointHandle:
-    """A handle of ``engine`` for a word queried on its oracle directly."""
+def wrap_handle(engine: EngineState, word: int, fit) -> PointHandle:
+    """A handle of ``engine`` for a word queried on its oracle directly, with
+    the value that query returned."""
     h = PointHandle()
-    h._word, h._engine = word, engine
+    h._word, h._fit, h._engine = word, fit, engine
     return h
 
 
@@ -445,7 +509,7 @@ class TestOptimizeSubset:
         f_abar = oracle.query(BitString(n, base ^ mask))
         f_a = oracle.query(BitString(n, base))
         engine = EngineState(oracle, None)
-        h_abar, h_a = (wrap_handle(engine, w) for w in (base ^ mask, base))
+        h_abar, h_a = (wrap_handle(engine, w, f) for w, f in ((base ^ mask, f_abar), (base, f_a)))
         h, _ = _subset_policy(engine.view, rng, ell, h_abar, f_abar, h_a, f_a)
         out = h._word
         assert out in {x.word for x, _ in oracle.history}

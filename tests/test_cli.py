@@ -6,6 +6,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -453,3 +454,25 @@ class TestOutOfMemory:
                          "--trials", "2"])
         assert code == cli.EXIT_RUNTIME
         assert capsys.readouterr().err == "arityopt: error: run ran out of memory (MemoryError)\n"
+
+    def test_real_exhaustion_exits_2_with_one_line(self, tmp_path):
+        # The child caps its own address space, then runs the CLI; a batch of
+        # 200 million trials cannot build its task list under that cap.  The
+        # report must come once the frames holding that list are freed:
+        # printed under the full cap, it failed, and the interpreter dumped
+        # the MemoryError and exited 1.
+        limit = 600 * 2**20
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        child = (
+            "import resource, runpy, sys\n"
+            f"sys.path.insert(0, {package_root!r})\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "sys.argv = ['arityopt', 'run', '--algorithm', 'rls', '--class', 'onemax',"
+            " '--n', '8', '--trials', '200000000']\n"
+            "runpy.run_module('arityopt', run_name='__main__')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=120, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_RUNTIME, "")
+        assert proc.stderr == "arityopt: error: run ran out of memory (MemoryError)\n"
+        assert list(tmp_path.iterdir()) == []

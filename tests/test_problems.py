@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from arityopt.bitcore import BitString, Permutation, random_word
@@ -178,6 +180,97 @@ class TestMonotone:
     def test_optimum(self):
         inst = MonotoneInstance(bs("110"), (3, 2, 9))
         assert inst.evaluate_word(inst.z.word) == 3 + 2 + 9
+
+
+STEP_WIDTHS = (1, 2, 63, 64, 65, 4096)
+STEP_KINDS = ("onemax", "leadingones", "monotone", "monotone_wide")
+
+
+def step_instance(kind: str, n: int, seed: int):
+    """A seeded instance of ``kind``; ``monotone_wide`` draws its weights on
+    all of 1..2**64 - 1, where ``random_instance`` draws them on 1..256."""
+    if kind != "monotone_wide":
+        return random_instance(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    weights = tuple(int(w) for w in rng.integers(1, 2**64, size=n, dtype=np.uint64))
+    return MonotoneInstance(BitString(n, random_word(n, rng)), weights)
+
+
+def word_of_value(inst: LeadingOnesInstance, v: int, rest: int) -> int:
+    """A word of LeadingOnes value v: z on the first v slots, not z on slot
+    v, and ``rest`` on the slots past it."""
+    z, mapping = inst.z.word, inst.sigma.mapping
+    prefix = sum(1 << pos for pos in mapping[:v])
+    word = (rest & ~prefix) | (z & prefix)
+    if v < inst.n:
+        bit = 1 << mapping[v]
+        word = (word & ~bit) | (~z & bit)
+    assert inst.evaluate_word(word) == v
+    return word
+
+
+class TestStepWord:
+    """``step_word(word, d, fit)``, the value of a word one bit d from a parent
+    of value fit, against ``evaluate_word``; and the oracle's choice between
+    the parent's value, a step and a full evaluation."""
+
+    @pytest.mark.parametrize("n", STEP_WIDTHS)
+    @pytest.mark.parametrize("kind", STEP_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_evaluation(self, kind, n, data):
+        inst = step_instance(kind, n, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        parent = data.draw(st.integers(0, (1 << n) - 1), label="parent")
+        if kind == "leadingones":
+            # a parent of drawn value, so that the flipped slot can fall
+            # below, at and above it
+            parent = word_of_value(inst, data.draw(st.integers(0, n), label="value"), parent)
+        fit = inst.evaluate_word(parent)
+        if n <= 65:
+            positions = range(n)
+        else:
+            positions = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
+                                  label="positions")
+        for pos in positions:
+            word = parent ^ (1 << pos)
+            assert inst.step_word(word, 1 << pos, fit) == inst.evaluate_word(word)
+        # through the oracle: the same word, a neighbour and the complement,
+        # each one counted query with the instance's value
+        oracle = Oracle(inst)
+        neighbour = parent ^ (1 << positions[0])
+        full = (1 << n) - 1
+        for word in (parent, neighbour, parent ^ full):
+            oracle._query_word(word, parent, fit)
+        assert oracle.query_count == 3
+        assert [f for _, f in oracle.history] == [
+            inst.evaluate_word(w) for w in (parent, neighbour, parent ^ full)]
+
+    @pytest.mark.parametrize("n", STEP_WIDTHS)
+    @pytest.mark.parametrize("branch", ("below", "at", "above"))
+    def test_leadingones_branches(self, branch, n):
+        # slot s of the flipped bit below the parent's value v ends the
+        # prefix at s; at v it evaluates; above v it leaves the value
+        cases = 0
+        for seed in range(5):
+            inst = random_instance("leadingones", n, seed)
+            rng = np.random.default_rng(seed)
+            for v in sorted({0, 1, n // 2, n - 1, n}):
+                slots = {"below": range(v), "at": range(v, min(v + 1, n)),
+                         "above": range(v + 1, n)}[branch]
+                parent = word_of_value(inst, v, random_word(n, rng))
+                for s in sorted({slots[0], slots[-1]} if slots else ()):
+                    d = 1 << inst.sigma.mapping[s]
+                    got = inst.step_word(parent ^ d, d, v)
+                    assert got == inst.evaluate_word(parent ^ d)
+                    if branch == "below":
+                        assert got == s
+                    elif branch == "above":
+                        assert got == v
+                    else:
+                        assert got > v
+                    cases += 1
+        # n = 1 has no slot above any value, and no slot below v = 0
+        assert cases > 0 or (branch == "above" and n == 1)
 
 
 class TestOracle:
